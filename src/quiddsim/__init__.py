@@ -19,7 +19,7 @@ from .oracle import (Oracle, OracleError, OracleSizeReport, Predicate,
 from .grover import (GroverParams, GroverRun, IterationStats, NoSolutionError,
                      TraceReport, amplitude_trace_report, grover_iterate,
                      ideal_success_probability, initialize_state, measure,
-                     optimal_iterations, run)
+                     optimal_iterations, run, sampler)
 from .baselines import (CrossoverRow, MarkedSetPredicate, QueryLedger,
                         WalkConfig, WalkResult, crossover_table,
                         deterministic_scan, randomized_search, schoening_walk)

@@ -4,9 +4,10 @@ Five experiments: ``scaling`` (wall time of the Grover loop against k),
 ``oracle_stats`` (diagram sizes of compiled oracles), ``crossover``
 (analytic query counts per strategy), ``trace`` (per-iteration profile
 of one run) and ``repeat_until_all_found`` (repetitions until every marked item has
-been observed).  All CSV content is reproducible from the seed except
-the wall-clock columns (``wall_ns``, ``compile_ns``).  Floats are
-serialized with 12 significant digits.
+been observed; one simulation per call, whose final state every
+repetition samples with its own seed).  All CSV content is reproducible
+from the seed except the wall-clock columns (``wall_ns``,
+``compile_ns``).  Floats are serialized with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -129,7 +130,9 @@ class ScalingFit:
 
     ``growth_base`` is the per-qubit multiplier (2**slope) and
     ``constant_ns`` the prefactor, so time ~= constant_ns * k *
-    growth_base**k.  Requires at least 5 distinct k.
+    growth_base**k.  Requires at least 5 distinct k and at least one
+    sample that ran an iteration (a fit over empty loops measures only
+    timer noise).
     """
 
     samples: tuple[ScalingSample, ...]
@@ -144,6 +147,9 @@ def fit_scaling(samples) -> ScalingFit:
     ks = np.array([s.k for s in samples], dtype=float)
     if len(set(s.k for s in samples)) < 5:
         raise ValueError("scaling fit needs at least 5 distinct k")
+    if not any(s.iterations for s in samples):
+        raise ValueError("scaling fit needs runs with at least one "
+                         "iteration; every sample ran zero")
     ys = np.log2(np.array([s.median_wall_ns for s in samples]) / ks)
     slope, intercept = np.polyfit(ks, ys, 1)
     residuals = ys - (slope * ks + intercept)
@@ -262,29 +268,37 @@ _REPEAT_CAP = 100_000
 
 
 def run_repeat_all(cfg: ExperimentConfig) -> RepeatAllResult:
-    """Repeat full Grover runs, measuring once per run, until every
-    marked item has been observed; ``repetitions`` is the experiment
-    count.  Valid as a coupon-collector probe because a run at the ideal
+    """Repeat Grover runs, measuring once per run, until every marked
+    item has been observed; ``repetitions`` is the experiment count.
+    Valid as a coupon-collector probe because a run at the ideal
     iteration count succeeds with probability near one and the final
-    state weights all marked items equally."""
+    state weights all marked items equally.
+
+    One simulation feeds every repetition.  The final state is a pure
+    function of the oracle, and a fresh manager per experiment would
+    rebuild the same diagram bit for bit, so only the measurement
+    differs between repetitions: repetition ``reps`` of experiment
+    ``exp`` draws once from the shared sampler with
+    ``random.Random(_derive(seed, exp, reps))``, exactly the draw a full
+    run seeded that way would make."""
     k = cfg.k_min
     count = cfg.marked_count if cfg.marked_count is not None else 4
     if count < 1:
         raise ValueError("repeat_until_all_found needs at least one marked item")
     marked = _marked_for(cfg.seed, k, count)
     target = set(marked)
+    m = QuiddManager()
+    oracle = compile_marked_set(m, k, marked)
+    record = grover.run(m, oracle, grover.GroverParams(k=k, shots=0))
+    draw = grover.sampler(m, record.final_state, k)
     rows = []
     counts = []
     for exp in range(cfg.repetitions):
-        m = QuiddManager()
-        oracle = compile_marked_set(m, k, marked)
         seen: set[int] = set()
         reps = 0
         while seen != target and reps < _REPEAT_CAP:
-            record = grover.run(m, oracle, grover.GroverParams(
-                k=k, seed=_derive(cfg.seed, exp, reps), shots=1))
+            outcome = draw(random.Random(_derive(cfg.seed, exp, reps)))
             reps += 1
-            outcome = record.measurements[0]
             if outcome in target:
                 seen.add(outcome)
         counts.append(reps)

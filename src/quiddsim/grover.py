@@ -4,7 +4,8 @@ One iteration is an oracle phase flip followed by the inversion about
 the mean.  The engine counts exactly one oracle query per iteration,
 records amplitudes, success probability, norm and live node footprint
 after every iteration, and samples measurements from the final state
-without mutating it.
+without mutating it: :func:`sampler` sums the state's subtree masses
+once and then draws any number of shots from them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gates
@@ -141,46 +143,50 @@ def grover_iterate(m: QuiddManager, oracle: Oracle, state: int,
     return m.matvec(diffusion_ref, apply_oracle(m, oracle, state), oracle.k)
 
 
-def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
-    """Sample one basis index with probability |amplitude|^2.
+def sampler(m: QuiddManager, state: int,
+            k: int) -> Callable[[random.Random], int]:
+    """A ``draw(rng)`` sampling one basis index with probability |amplitude|^2.
 
-    A single top-down pass over the diagram; subtree masses weight the
-    branch choice, skipped variables contribute unbiased bits.  The
-    state is not modified.
+    Subtree masses are summed once, here, and every branching node keeps
+    its (low mass, total mass) split, so each draw is a single top-down
+    pass over the diagram.  A draw takes ``rng.getrandbits(1)`` for each
+    skipped variable (an unbiased bit) and one ``rng.random()`` for each
+    branching node.  The state is not modified.
     """
-    mass: dict[int, float] = {}
-
-    def qubit_of(n: int) -> int:
-        return k if m.is_terminal(n) else m.var(n) // 2
-
-    def weight(n: int) -> float:
-        w = mass.get(n)
-        if w is not None:
-            return w
-        if m.is_terminal(n):
-            w = abs(m.value(n)) ** 2
-        else:
-            q = m.var(n) // 2
-            w = sum(weight(child) * (1 << (qubit_of(child) - q - 1))
-                    for child in (m.low(n), m.high(n)))
-        mass[n] = w
-        return w
-
-    if weight(state) <= 0.0:
+    mass = m.subtree_sums(state, k, lambda v: abs(v) ** 2)
+    if mass[state] <= 0.0:
         raise ValueError("cannot measure a zero state")
-    index = 0
-    cur = state
-    for q in range(k):
-        if m.is_terminal(cur) or m.var(cur) > 2 * q:
-            bit = rng.getrandbits(1)
-        else:
-            lo, hi = m.low(cur), m.high(cur)
-            wl = weight(lo) * (1 << (qubit_of(lo) - q - 1))
-            wh = weight(hi) * (1 << (qubit_of(hi) - q - 1))
-            bit = 0 if rng.random() * (wl + wh) < wl else 1
-            cur = hi if bit else lo
-        index = (index << 1) | bit
-    return index
+    # Branching node -> (qubit, low, high, low mass, total mass), masses
+    # taken over the block that starts at the node's own qubit.
+    split = {}
+    for n, total in mass.items():
+        if not m.is_terminal(n):
+            q = m.var(n) // 2
+            lo, hi = m.low(n), m.high(n)
+            q_lo = k if m.is_terminal(lo) else m.var(lo) // 2
+            split[n] = (q, lo, hi, mass[lo] * (1 << (q_lo - q - 1)), total)
+
+    def draw(rng: random.Random) -> int:
+        index = 0
+        cur = state
+        for q in range(k):
+            node = split.get(cur)
+            if node is None or node[0] > q:
+                bit = rng.getrandbits(1)
+            else:
+                _, lo, hi, wl, total = node
+                bit = 0 if rng.random() * total < wl else 1
+                cur = hi if bit else lo
+            index = (index << 1) | bit
+        return index
+
+    return draw
+
+
+def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
+    """Sample one basis index with probability |amplitude|^2: one draw of
+    :func:`sampler`.  Raises ``ValueError`` on a zero state."""
+    return sampler(m, state, k)(rng)
 
 
 def _stats(m: QuiddManager, t: int, state: int, indicator: int,
@@ -239,9 +245,11 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
                             live_roots, k))
     loop_ns = time.perf_counter_ns() - loop_start
 
-    rng = random.Random(params.seed)
-    measurements = tuple(measure(m, state, k, rng)
-                         for _ in range(params.shots))
+    measurements = ()
+    if params.shots:
+        draw = sampler(m, state, k)
+        rng = random.Random(params.seed)
+        measurements = tuple(draw(rng) for _ in range(params.shots))
     return GroverRun(
         params=params,
         k=k,

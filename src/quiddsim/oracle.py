@@ -58,25 +58,9 @@ class OracleSizeReport:
 
 def _count_marked(m: QuiddManager, ref: int, k: int) -> int:
     """Number of -1 entries, by path counting weighted with 2^(skipped levels)."""
-    memo: dict[int, int] = {}
-
-    def qubit_of(n: int) -> int:
-        return k if m.is_terminal(n) else m.var(n) // 2
-
-    def count(n: int) -> int:
-        c = memo.get(n)
-        if c is not None:
-            return c
-        if m.is_terminal(n):
-            c = 1 if m.value(n).real < 0 else 0
-        else:
-            q = m.var(n) // 2
-            c = sum(count(child) << (qubit_of(child) - q - 1)
-                    for child in (m.low(n), m.high(n)))
-        memo[n] = c
-        return c
-
-    return count(ref) << qubit_of(ref)
+    counts = m.subtree_sums(ref, k, lambda v: 1 if v.real < 0 else 0)
+    top = k if m.is_terminal(ref) else m.var(ref) // 2
+    return counts[ref] << top
 
 
 def _checked_oracle(m: QuiddManager, ref: int, k: int, prov: Predicate) -> Oracle:

@@ -17,9 +17,9 @@ Conventions
   of a path equals the integer value of its bit string.
 * A node skipped on a path means the function ignores that bit: both
   branches would be equal, and the reduction rule removed the node.
-* Terminal values are interned on a 1e-12 grid per component; the first
-  value seen in a grid cell is kept verbatim as the cell representative,
-  so amplitudes are never rounded, only deduplicated.
+* Terminal values are interned on a 1e-15 grid per component (``GRID``);
+  the first value seen in a grid cell is kept verbatim as the cell
+  representative, so amplitudes are never rounded, only deduplicated.
 
 A manager and every ref it issued are confined to one thread of control.
 Refs from different managers must never be mixed.
@@ -630,6 +630,43 @@ class QuiddManager:
         if v is None:
             raise SpaceMismatchError("diagram is deeper than the given k")
         return v
+
+    def subtree_sums(self, root: int, k: int, leaf) -> dict:
+        """``leaf(value)`` summed over every entry below each node of a vector.
+
+        Maps each node reachable from ``root`` to the sum over the
+        2^(k - q) entries of the block that starts at the node's own
+        qubit q; a terminal (q = k) maps to ``leaf`` of its value.  A
+        child that skips levels stands for 2^(skipped) equal blocks, so
+        its sum is scaled by that count.  Sums are low-child part plus
+        high-child part, in that order.  Walks with an explicit stack,
+        so diagram depth is not bounded by the recursion limit.
+        """
+        value, var, low, high = self._value, self._var, self._low, self._high
+        sums: dict = {}
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            if n in sums:
+                stack.pop()
+                continue
+            v = value[n]
+            if v is not None:
+                sums[n] = leaf(v)
+                stack.pop()
+                continue
+            lo, hi = low[n], high[n]
+            pending = [c for c in (lo, hi) if c not in sums]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            q = var[n] // 2
+            qlo = k if value[lo] is not None else var[lo] // 2
+            qhi = k if value[hi] is not None else var[hi] // 2
+            sums[n] = (sums[lo] * (1 << (qlo - q - 1))
+                       + sums[hi] * (1 << (qhi - q - 1)))
+        return sums
 
     def count_nodes(self, *roots: int) -> NodeCount:
         """Reachable internal and terminal node counts, deduplicated."""

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from quiddsim import bench, cli
+from quiddsim import bench, cli, grover
 from quiddsim.bench import ExperimentConfig
+from quiddsim.oracle import compile_marked_set
+from quiddsim.quidd import QuiddManager
 
 
 def run_cli(capsys, argv):
@@ -45,6 +47,20 @@ def test_scaling_csv_layout_and_determinism(tmp_path):
 def test_scaling_fit_requires_five_distinct_sizes():
     with pytest.raises(ValueError):
         bench.run_scaling(ExperimentConfig(kind="scaling", k_min=10, k_max=12))
+
+
+def test_scaling_fit_rejects_series_without_iterations():
+    samples = [bench.ScalingSample(k, 0, (900,), 900.0, 0)
+               for k in range(4, 9)]
+    with pytest.raises(ValueError, match="iteration"):
+        bench.fit_scaling(samples)
+
+
+def test_cli_scaling_without_marked_items_fails(capsys):
+    rc, _, err = run_cli(capsys, ["scaling", "--k-min", "4", "--k-max", "8",
+                                  "--m", "0"])
+    assert rc == 1
+    assert "bench: error:" in err and "iteration" in err
 
 
 def test_scaling_iterations_column_is_floor_optimal(tmp_path):
@@ -194,6 +210,34 @@ def test_repeat_all_is_deterministic(tmp_path):
     assert a == b
     assert read_lines(out_a) == read_lines(out_b)
     assert read_lines(out_a)[0] == bench.REPEAT_ALL_HEADER
+
+
+def reference_repeat_all_csv(seed, k, count, experiments):
+    """One full Grover run per repetition, a fresh manager per experiment."""
+    marked = bench._marked_for(seed, k, count)
+    target = set(marked)
+    lines = [bench.REPEAT_ALL_HEADER]
+    for exp in range(experiments):
+        m = QuiddManager()
+        orc = compile_marked_set(m, k, marked)
+        seen, reps = set(), 0
+        while seen != target:
+            rec = grover.run(m, orc, grover.GroverParams(
+                k=k, seed=bench._derive(seed, exp, reps), shots=1))
+            reps += 1
+            if rec.measurements[0] in target:
+                seen.add(rec.measurements[0])
+        lines.append(f"{exp},{reps}")
+    return lines
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_repeat_all_csv_equals_one_run_per_repetition(tmp_path, seed):
+    out = tmp_path / "r.csv"
+    bench.run_repeat_all(ExperimentConfig(
+        kind="repeat_until_all_found", k_min=6, k_max=6, marked_count=4,
+        repetitions=20, seed=seed, out=str(out)))
+    assert read_lines(out) == reference_repeat_all_csv(seed, 6, 4, 20)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from quiddsim import dense, grover, oracle
 from quiddsim.grover import GroverParams, NoSolutionError
@@ -259,6 +261,87 @@ def test_measure_rejects_zero_state(manager):
     z = manager.terminal(0)
     with pytest.raises(ValueError):
         grover.measure(manager, z, 3, random.Random(0))
+    with pytest.raises(ValueError):
+        grover.sampler(manager, z, 3)
+
+
+def reference_measure(m, state, k, rng):
+    """Per-call measurement that rebuilds its subtree masses every time;
+    the sampler must match its draws and its use of ``rng`` exactly."""
+    mass = {}
+
+    def qubit_of(n):
+        return k if m.is_terminal(n) else m.var(n) // 2
+
+    def weight(n):
+        w = mass.get(n)
+        if w is not None:
+            return w
+        if m.is_terminal(n):
+            w = abs(m.value(n)) ** 2
+        else:
+            q = m.var(n) // 2
+            w = sum(weight(child) * (1 << (qubit_of(child) - q - 1))
+                    for child in (m.low(n), m.high(n)))
+        mass[n] = w
+        return w
+
+    if weight(state) <= 0.0:
+        raise ValueError("cannot measure a zero state")
+    index = 0
+    cur = state
+    for q in range(k):
+        if m.is_terminal(cur) or m.var(cur) > 2 * q:
+            bit = rng.getrandbits(1)
+        else:
+            lo, hi = m.low(cur), m.high(cur)
+            wl = weight(lo) * (1 << (qubit_of(lo) - q - 1))
+            wh = weight(hi) * (1 << (qubit_of(hi) - q - 1))
+            bit = 0 if rng.random() * (wl + wh) < wl else 1
+            cur = hi if bit else lo
+        index = (index << 1) | bit
+    return index
+
+
+# Few distinct amplitudes, so equal halves reduce away and skip levels.
+AMPLITUDES = st.sampled_from([0, 0.5, -0.25, 0.3j, 0.6 - 0.2j, 1e-9])
+
+
+@st.composite
+def small_states(draw):
+    k = draw(st.integers(1, 5))
+    entries = draw(st.lists(AMPLITUDES, min_size=1 << k, max_size=1 << k)
+                   .filter(lambda xs: any(xs)))
+    return k, entries
+
+
+@given(small_states(), st.integers(0, 2 ** 32))
+@example((3, [0.5] * 8), 7)                          # terminal root
+@example((3, [0, 0.5, 0.3j, 0.3j] * 2), 11)          # skipped top qubit
+@example((4, [0.5, 0.5, -0.25, -0.25] * 4), 3)       # skipped last qubit
+def test_sampler_draws_equal_per_call_measure(state, seed):
+    k, entries = state
+    m = QuiddManager()
+    v = m.from_dense(np.array(entries, dtype=complex), vector_space(k))
+    draw = grover.sampler(m, v, k)
+    rng_a, rng_b = random.Random(seed), random.Random(seed)
+    got = [draw(rng_a) for _ in range(25)]
+    want = [reference_measure(m, v, k, rng_b) for _ in range(25)]
+    assert got == want
+    assert rng_a.getstate() == rng_b.getstate()
+    assert grover.measure(m, v, k, random.Random(seed)) == want[0]
+
+
+@pytest.mark.parametrize("k,marked", [(2, [1]), (5, [3, 17, 30]),
+                                      (6, [0, 9, 33, 60])])
+def test_run_shots_equal_per_call_measure(k, marked):
+    for seed in range(3):
+        m = QuiddManager()
+        orc = oracle.compile_marked_set(m, k, marked)
+        rec = grover.run(m, orc, GroverParams(k=k, seed=seed, shots=40))
+        rng = random.Random(seed)
+        assert rec.measurements == tuple(
+            reference_measure(m, rec.final_state, k, rng) for _ in range(40))
 
 
 # ---------------------------------------------------------------------------

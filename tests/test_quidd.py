@@ -366,6 +366,28 @@ def test_count_nodes_uniform_state_is_single_terminal(manager):
     assert (c.internal, c.terminal) == (0, 1)
 
 
+def test_subtree_sums_scale_skipped_levels(manager):
+    # [1, 1, 2, 3] twice: qubit 0 is skipped above the root and qubit 2
+    # below its low child.
+    v = manager.from_dense(np.array([1, 1, 2, 3] * 2, dtype=complex),
+                           vector_space(3))
+    sums = manager.subtree_sums(v, 3, lambda z: z.real)
+    assert manager.var(v) == 2
+    assert sums[v] == 7                  # one block of qubits 1 and 2
+    assert sums[manager.low(v)] == 1     # a terminal is its own entry
+
+
+def test_subtree_sums_walk_deeper_than_recursion_limit(manager):
+    # -1 at index 0 of a 5000-qubit vector, one node per qubit.
+    k = 5000
+    cur = manager.terminal(-1)
+    for q in range(k - 1, -1, -1):
+        cur = manager.node(2 * q, cur, manager.terminal(1))
+    negatives = manager.subtree_sums(cur, k, lambda z: 1 if z.real < 0 else 0)
+    assert negatives[cur] == 1
+    assert manager.subtree_sums(cur, k, lambda z: 1)[cur] == 1 << k
+
+
 @given(v=dense_vectors(4))
 def test_node_count_sanity_bound(v):
     m = QuiddManager()
