@@ -21,6 +21,9 @@ from .oracle import (Oracle, any_marked_index, any_unmarked_index,
                      apply_oracle, indicator_vector)
 from .quidd import QuiddManager
 
+# Nodes a run allocates between two collections of its dead nodes.
+COLLECT_EVERY = 4096
+
 
 class NoSolutionError(ValueError):
     """Iteration-count request for a predicate with no solutions."""
@@ -210,6 +213,12 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     With zero marked items the run still completes (the state stays
     uniform) and is flagged ``no_solution``; the default iteration count
     is then 0.
+
+    Between iterations the run frees the nodes it allocated and no longer
+    needs (:meth:`QuiddManager.collect`, floored at the store size when
+    the run starts).  Every ref issued before the run stays valid, and so
+    does the returned ``final_state``; any other ref the run's own calls
+    produced may have been freed or renumbered.
     """
     t_start = time.perf_counter_ns()
     if params.k != oracle.k:
@@ -227,6 +236,8 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     else:
         iterations = optimal_iterations(n_items, marked_count)
 
+    floor = m.size
+    collected_at = m.nodes_created
     diffusion_ref = gates.diffusion(m, k)
     indicator = indicator_vector(m, oracle)
     marked_idx = any_marked_index(m, oracle)
@@ -239,10 +250,15 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     queries = 0
     loop_start = time.perf_counter_ns()
     for t in range(1, iterations + 1):
-        state = m.matvec(diffusion_ref, apply_oracle(m, oracle, state), k)
+        state = grover_iterate(m, oracle, state, diffusion_ref)
         queries += 1
         trace.append(_stats(m, t, state, indicator, marked_idx, unmarked_idx,
                             live_roots, k))
+        if m.nodes_created - collected_at >= COLLECT_EVERY:
+            floor, (state, indicator, diffusion_ref) = m.collect(
+                floor, (state, indicator, diffusion_ref))
+            live_roots = (oracle.phase_vector, indicator, diffusion_ref)
+            collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
 
     measurements = ()

@@ -95,19 +95,23 @@ def compile_marked_set(m: QuiddManager, k: int, indices) -> Oracle:
         raise OracleError(f"marked index {bad} out of range for {k} qubits")
     plus = m.terminal(1)
     minus = m.terminal(-1)
-
-    def build(level: int, lo: int, hi: int, i0: int, i1: int) -> int:
-        if i0 == i1:
-            return plus
-        if i1 - i0 == hi - lo:
-            return minus
-        mid = (lo + hi) >> 1
-        split = bisect_left(idx, mid, i0, i1)
-        return m.node(2 * level, build(level + 1, lo, mid, i0, split),
-                      build(level + 1, mid, hi, split, i1))
-
-    ref = build(0, 0, 1 << k, 0, len(idx))
+    ref = _build_marked(m, idx, plus, minus, 0, 0, 1 << k, 0, len(idx))
     return _checked_oracle(m, ref, k, Predicate(k, marked=frozenset(idx)))
+
+
+def _build_marked(m: QuiddManager, idx: list[int], plus: int, minus: int,
+                  level: int, lo: int, hi: int, i0: int, i1: int) -> int:
+    """Phase diagram of the index block [lo, hi), whose marked indices
+    are idx[i0:i1]."""
+    if i0 == i1:
+        return plus
+    if i1 - i0 == hi - lo:
+        return minus
+    mid = (lo + hi) >> 1
+    split = bisect_left(idx, mid, i0, i1)
+    return m.node(2 * level,
+                  _build_marked(m, idx, plus, minus, level + 1, lo, mid, i0, split),
+                  _build_marked(m, idx, plus, minus, level + 1, mid, hi, split, i1))
 
 
 def _clause_indicator(m: QuiddManager, clause, num_vars: int) -> int:
@@ -162,22 +166,20 @@ def oracle_size_report(m: QuiddManager, oracle: Oracle) -> OracleSizeReport:
     return OracleSizeReport(oracle.k, oracle.marked_count, internal, terminal)
 
 
-def _find_index(m: QuiddManager, ref: int, k: int, want_marked: bool) -> int | None:
+def _find_index(m: QuiddManager, ref: int, k: int, want_marked: bool,
+                level: int = 0, prefix: int = 0) -> int | None:
     """Smallest-prefix index whose phase matches; skipped bits become 0."""
-
-    def rec(n: int, level: int, prefix: int) -> int | None:
-        if m.is_terminal(n):
-            if (m.value(n).real < 0) == want_marked:
-                return prefix << (k - level)
-            return None
-        if m.var(n) > 2 * level:
-            return rec(n, level + 1, prefix << 1)
-        hit = rec(m.low(n), level + 1, prefix << 1)
-        if hit is not None:
-            return hit
-        return rec(m.high(n), level + 1, (prefix << 1) | 1)
-
-    return rec(ref, 0, 0)
+    if m.is_terminal(ref):
+        if (m.value(ref).real < 0) == want_marked:
+            return prefix << (k - level)
+        return None
+    if m.var(ref) > 2 * level:
+        return _find_index(m, ref, k, want_marked, level + 1, prefix << 1)
+    hit = _find_index(m, m.low(ref), k, want_marked, level + 1, prefix << 1)
+    if hit is not None:
+        return hit
+    return _find_index(m, m.high(ref), k, want_marked, level + 1,
+                       (prefix << 1) | 1)
 
 
 def any_marked_index(m: QuiddManager, oracle: Oracle) -> int | None:

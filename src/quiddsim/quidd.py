@@ -21,6 +21,18 @@ Conventions
   the first value seen in a grid cell is kept verbatim as the cell
   representative, so amplitudes are never rounded, only deduplicated.
 
+Node lifetime
+-------------
+Children always precede their parents in the node store, so nodes above
+a floor index are never referenced from below it.
+:meth:`QuiddManager.collect` frees the internal nodes above a floor that
+given roots do not reach and renumbers the survivors; refs below the
+floor are untouched and stay valid, refs above it are valid only as the
+renumbered roots it returns.  Terminals are permanent: a collection
+moves them below the raised floor but never frees one, so every grid
+cell keeps its first representative and results do not depend on when
+collections happen.
+
 A manager and every ref it issued are confined to one thread of control.
 Refs from different managers must never be mixed.
 """
@@ -111,12 +123,14 @@ def matrix_space(k: int) -> VarSpace:
 
 
 class QuiddManager:
-    """Interning manager owning the unique table, terminals and the op cache.
+    """Interning manager owning the unique table, the terminals and one
+    computed table per operation.
 
-    Nodes are integer refs into parallel arrays.  Nodes are never freed;
-    ``nodes_created`` is therefore both the total allocation count and the
-    peak.  Live-set sizes are measured by reachability from explicit roots
-    via :meth:`count_nodes`.
+    Nodes are integer refs into parallel arrays.  :meth:`collect` frees
+    unreachable internal nodes above a floor; ``nodes_created`` counts
+    every node ever interned, freed ones included.  Live-set sizes are
+    measured by reachability from explicit roots via :meth:`count_nodes`.
+    Each computed table is emptied once it holds ``cache_limit`` entries.
     """
 
     def __init__(self, cache_enabled: bool = True,
@@ -130,7 +144,22 @@ class QuiddManager:
         self._hasodd: list[bool] = []       # touches a column variable
         self._unique: dict[tuple[int, int, int], int] = {}
         self._terminals: dict[tuple[int, int], int] = {}
-        self._cache: dict = {}
+        # One computed table per operation, each bounded by cache_limit.
+        self._add_memo: dict = {}
+        self._mul_memo: dict = {}
+        self._shift_memo: dict = {}
+        self._graft_memo: dict = {}
+        self._mv_memo: dict = {}
+        self._vs_memo: dict = {}
+        self._rs_memo: dict = {}
+        self._mm_memo: dict = {}
+        self._diag_memo: dict = {}
+        self._ip_memo: dict = {}
+        self._memos = (self._add_memo, self._mul_memo, self._shift_memo,
+                       self._graft_memo, self._mv_memo, self._vs_memo,
+                       self._rs_memo, self._mm_memo, self._diag_memo,
+                       self._ip_memo)
+        self._freed = 0         # nodes released by collect()
         self.cache_enabled = cache_enabled
         self.cache_limit = cache_limit
         self.dense_cap = dense_cap
@@ -141,7 +170,12 @@ class QuiddManager:
 
     @property
     def nodes_created(self) -> int:
-        """Total nodes ever interned (monotone; equals peak allocation)."""
+        """Total nodes ever interned, freed ones included (monotone)."""
+        return len(self._var) + self._freed
+
+    @property
+    def size(self) -> int:
+        """Nodes in the store; every ref issued so far is below it."""
         return len(self._var)
 
     def terminal(self, value) -> int:
@@ -226,61 +260,61 @@ class QuiddManager:
 
     def apply(self, op: str, a: int, b: int) -> int:
         """Pointwise combine two diagrams; op is 'add' or 'mul'."""
-        if op not in (_ADD, _MUL):
+        if op == _ADD:
+            rec = self._add
+        elif op == _MUL:
+            rec = self._mul
+        else:
             raise ValueError(f"unknown apply op: {op!r}")
         if (self._value[a] is None and self._value[b] is None
                 and self._hasodd[a] != self._hasodd[b]):
             raise SpaceMismatchError(
                 "elementwise op between vector and matrix diagrams")
-        return self._apply_rec(op, a, b)
+        return rec(a, b)
 
-    def _apply_rec(self, op: str, a: int, b: int) -> int:
-        value, var, low, high = self._value, self._var, self._low, self._high
-        adding = op == _ADD
+    # Both ops commute, so an internal pair is keyed in ascending order.
+    # A terminal operand goes to the one-sided walk, keyed (constant,
+    # other); the two key kinds never collide because a pair of internal
+    # nodes never starts with a terminal.
+
+    def _add(self, a: int, b: int) -> int:
+        value = self._value
         va, vb = value[a], value[b]
-        # Identity and annihilator shortcuts return operands untouched, so
-        # e.g. multiplying by a constant-one diagram is reference-neutral.
-        if adding:
-            if va == 0:
-                return b
-            if vb == 0:
-                return a
-        else:
-            if va == 0 or vb == 0:
-                return self._term(0j)
-            if va == 1:
-                return b
-            if vb == 1:
-                return a
+        # Identity shortcuts return operands untouched (reference-neutral).
+        if va == 0:
+            return b
+        if vb == 0:
+            return a
         if va is not None:
             if vb is not None:
-                return self._term(va + vb if adding else va * vb)
-            return self._apply_const(op, a, b)
+                return self._term(va + vb)
+            return self._add_const(a, b)
         if vb is not None:
-            return self._apply_const(op, b, a)
-        key = (op, a, b) if a <= b else (op, b, a)   # both ops commute
-        cache = self._cache if self.cache_enabled else None
+            return self._add_const(b, a)
+        key = (a, b) if a <= b else (b, a)
+        cache = self._add_memo if self.cache_enabled else None
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
                 return hit
+        var, low, high = self._var, self._low, self._high
         wa, wb = var[a], var[b]
         w = wa if wa < wb else wb
         a0, a1 = (low[a], high[a]) if wa == w else (a, a)
         b0, b1 = (low[b], high[b]) if wb == w else (b, b)
-        r = self.node(w, self._apply_rec(op, a0, b0), self._apply_rec(op, a1, b1))
+        r = self.node(w, self._add(a0, b0), self._add(a1, b1))
         if cache is not None:
             if len(cache) >= self.cache_limit:
                 cache.clear()
             cache[key] = r
         return r
 
-    def _apply_const(self, op: str, c: int, x: int) -> int:
+    def _add_const(self, c: int, x: int) -> int:
         # One operand is a terminal: walk the other diagram alone.  This is
         # the inner loop of a matrix-vector multiply, where every level adds
         # its own constant partial sum into the accumulated result.
-        key = (op, c, x)
-        cache = self._cache if self.cache_enabled else None
+        key = (c, x)
+        cache = self._add_memo if self.cache_enabled else None
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
@@ -289,16 +323,67 @@ class QuiddManager:
         cv = value[c]
         lo, hi = low[x], high[x]
         vlo, vhi = value[lo], value[hi]
-        if op == _ADD:
-            rlo = (self._term(cv + vlo) if vlo is not None
-                   else self._apply_const(op, c, lo))
-            rhi = (self._term(cv + vhi) if vhi is not None
-                   else self._apply_const(op, c, hi))
-        else:
-            rlo = (self._term(cv * vlo) if vlo is not None
-                   else self._apply_const(op, c, lo))
-            rhi = (self._term(cv * vhi) if vhi is not None
-                   else self._apply_const(op, c, hi))
+        rlo = (self._term(cv + vlo) if vlo is not None
+               else self._add_const(c, lo))
+        rhi = (self._term(cv + vhi) if vhi is not None
+               else self._add_const(c, hi))
+        r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
+        return r
+
+    def _mul(self, a: int, b: int) -> int:
+        value = self._value
+        va, vb = value[a], value[b]
+        # Identity and annihilator shortcuts return operands untouched, so
+        # e.g. multiplying by a constant-one diagram is reference-neutral.
+        if va == 0 or vb == 0:
+            return self._term(0j)
+        if va == 1:
+            return b
+        if vb == 1:
+            return a
+        if va is not None:
+            if vb is not None:
+                return self._term(va * vb)
+            return self._mul_const(a, b)
+        if vb is not None:
+            return self._mul_const(b, a)
+        key = (a, b) if a <= b else (b, a)
+        cache = self._mul_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        var, low, high = self._var, self._low, self._high
+        wa, wb = var[a], var[b]
+        w = wa if wa < wb else wb
+        a0, a1 = (low[a], high[a]) if wa == w else (a, a)
+        b0, b1 = (low[b], high[b]) if wb == w else (b, b)
+        r = self.node(w, self._mul(a0, b0), self._mul(a1, b1))
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
+        return r
+
+    def _mul_const(self, c: int, x: int) -> int:
+        key = (c, x)
+        cache = self._mul_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        value, low, high = self._value, self._low, self._high
+        cv = value[c]
+        lo, hi = low[x], high[x]
+        vlo, vhi = value[lo], value[hi]
+        rlo = (self._term(cv * vlo) if vlo is not None
+               else self._mul_const(c, lo))
+        rhi = (self._term(cv * vhi) if vhi is not None
+               else self._mul_const(c, hi))
         r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
         if cache is not None:
             if len(cache) >= self.cache_limit:
@@ -314,7 +399,7 @@ class QuiddManager:
             return a
         if z == 0:
             return self.terminal(0)
-        return self._apply_rec(_MUL, self.terminal(z), a)
+        return self._mul(self.terminal(z), a)
 
     # ------------------------------------------------------------------
     # tensor product
@@ -336,31 +421,37 @@ class QuiddManager:
     def _shift(self, b: int, delta: int) -> int:
         if delta == 0 or self._value[b] is not None:
             return b
-        key = ("shift", b, delta)
-        if self.cache_enabled:
-            hit = self._cache.get(key)
+        key = (b, delta)
+        cache = self._shift_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
             if hit is not None:
                 return hit
         r = self.node(self._var[b] + delta,
                       self._shift(self._low[b], delta),
                       self._shift(self._high[b], delta))
-        if self.cache_enabled:
-            self._cache[key] = r
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
         return r
 
     def _graft(self, a: int, b: int) -> int:
         va = self._value[a]
         if va is not None:
             return self.scalar_mul(va, b)
-        key = ("graft", a, b)
-        if self.cache_enabled:
-            hit = self._cache.get(key)
+        key = (a, b)
+        cache = self._graft_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
             if hit is not None:
                 return hit
         r = self.node(self._var[a], self._graft(self._low[a], b),
                       self._graft(self._high[a], b))
-        if self.cache_enabled:
-            self._cache[key] = r
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
         return r
 
     # ------------------------------------------------------------------
@@ -387,7 +478,7 @@ class QuiddManager:
         ref, off = self._matvec_rec(0, gate, vec, k)
         if off == 0:
             return ref
-        return self._apply_rec(_ADD, self._term(off), ref)
+        return self._add(self._term(off), ref)
 
     def _matvec_rec(self, m: int, g: int, w: int, k: int) -> tuple[int, complex]:
         # Returns (ref, off) meaning the true block result is ref with off
@@ -406,9 +497,9 @@ class QuiddManager:
         if wv is not None:
             # Constant vector segment: the result is the block's row-sum
             # profile scaled once, and the profile caches per gate node.
-            return self._apply_rec(_MUL, w, self._rowsum_rec(m, g, k)), 0j
-        key = ("mv", m, g, w)
-        cache = self._cache if self.cache_enabled else None
+            return self._mul(w, self._rowsum_rec(m, g, k)), 0j
+        key = (m, g, w)
+        cache = self._mv_memo if self.cache_enabled else None
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
@@ -424,11 +515,11 @@ class QuiddManager:
         m1 = m + 1
         l0, c00 = self._matvec_rec(m1, g00, w0, k)
         l1, c01 = self._matvec_rec(m1, g01, w1, k)
-        lo = self._apply_rec(_ADD, l0, l1)
+        lo = self._add(l0, l1)
         lo_off = c00 + c01
         h0, c10 = self._matvec_rec(m1, g10, w0, k)
         h1, c11 = self._matvec_rec(m1, g11, w1, k)
-        hi = self._apply_rec(_ADD, h0, h1)
+        hi = self._add(h0, h1)
         hi_off = c10 + c11
         if lo_off == hi_off:
             off = lo_off
@@ -442,7 +533,7 @@ class QuiddManager:
             lo = self._term(value[lo] + (lo_off - hi_off))
         else:
             off = lo_off
-            hi = self._apply_rec(_ADD, self._term(hi_off - lo_off), hi)
+            hi = self._add(self._term(hi_off - lo_off), hi)
         r = (lo if lo == hi else self.node(rv, lo, hi)), off
         if cache is not None:
             if len(cache) >= self.cache_limit:
@@ -455,8 +546,8 @@ class QuiddManager:
         wv = self._value[w]
         if wv is not None:
             return wv * (1 << (k - m))
-        key = ("vs", m, w)
-        cache = self._cache if self.cache_enabled else None
+        key = (m, w)
+        cache = self._vs_memo if self.cache_enabled else None
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
@@ -467,6 +558,8 @@ class QuiddManager:
         else:
             r = 2 * self._vecsum_rec(m + 1, w, k)
         if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
             cache[key] = r
         return r
 
@@ -475,8 +568,8 @@ class QuiddManager:
         gv = self._value[g]
         if gv is not None:
             return self._term(gv * (1 << (k - m)))
-        key = ("rs", m, g)
-        cache = self._cache if self.cache_enabled else None
+        key = (m, g)
+        cache = self._rs_memo if self.cache_enabled else None
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
@@ -487,12 +580,14 @@ class QuiddManager:
         g0 = cof(g, rv, 0)
         g1 = cof(g, rv, 1)
         m1 = m + 1
-        lo = self._apply_rec(_ADD, self._rowsum_rec(m1, cof(g0, cv, 0), k),
-                             self._rowsum_rec(m1, cof(g0, cv, 1), k))
-        hi = self._apply_rec(_ADD, self._rowsum_rec(m1, cof(g1, cv, 0), k),
-                             self._rowsum_rec(m1, cof(g1, cv, 1), k))
+        lo = self._add(self._rowsum_rec(m1, cof(g0, cv, 0), k),
+                       self._rowsum_rec(m1, cof(g0, cv, 1), k))
+        hi = self._add(self._rowsum_rec(m1, cof(g1, cv, 0), k),
+                       self._rowsum_rec(m1, cof(g1, cv, 1), k))
         r = self.node(rv, lo, hi)
         if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
             cache[key] = r
         return r
 
@@ -511,9 +606,10 @@ class QuiddManager:
             return self.terminal(0)
         if av is not None and bv is not None:
             return self.terminal(av * bv * (1 << (k - m)))
-        key = ("mm", m, a, b)
-        if self.cache_enabled:
-            hit = self._cache.get(key)
+        key = (m, a, b)
+        cache = self._mm_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
             if hit is not None:
                 return hit
         rv = 2 * m
@@ -526,15 +622,17 @@ class QuiddManager:
         b00, b01 = cof(b0, cv, 0), cof(b0, cv, 1)
         b10, b11 = cof(b1, cv, 0), cof(b1, cv, 1)
         m1 = m + 1
-        add = self._apply_rec
+        add = self._add
         mm = self._matmat_rec
-        c00 = add(_ADD, mm(m1, a00, b00, k), mm(m1, a01, b10, k))
-        c01 = add(_ADD, mm(m1, a00, b01, k), mm(m1, a01, b11, k))
-        c10 = add(_ADD, mm(m1, a10, b00, k), mm(m1, a11, b10, k))
-        c11 = add(_ADD, mm(m1, a10, b01, k), mm(m1, a11, b11, k))
+        c00 = add(mm(m1, a00, b00, k), mm(m1, a01, b10, k))
+        c01 = add(mm(m1, a00, b01, k), mm(m1, a01, b11, k))
+        c10 = add(mm(m1, a10, b00, k), mm(m1, a11, b10, k))
+        c11 = add(mm(m1, a10, b01, k), mm(m1, a11, b11, k))
         r = self.node(rv, self.node(cv, c00, c01), self.node(cv, c10, c11))
-        if self.cache_enabled:
-            self._cache[key] = r
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
         return r
 
     def matrix_diagonal(self, gate: int, k: int) -> int:
@@ -545,9 +643,10 @@ class QuiddManager:
     def _diag_rec(self, m: int, g: int, k: int) -> int:
         if self._value[g] is not None or m == k:
             return g
-        key = ("diag", m, g)
-        if self.cache_enabled:
-            hit = self._cache.get(key)
+        key = (m, g)
+        cache = self._diag_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
             if hit is not None:
                 return hit
         rv = 2 * m
@@ -556,8 +655,10 @@ class QuiddManager:
         g11 = self._cof(self._cof(g, rv, 1), cv, 1)
         r = self.node(rv, self._diag_rec(m + 1, g00, k),
                       self._diag_rec(m + 1, g11, k))
-        if self.cache_enabled:
-            self._cache[key] = r
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
         return r
 
     # ------------------------------------------------------------------
@@ -576,17 +677,20 @@ class QuiddManager:
             return 0j
         if uv is not None and vv is not None:
             return uv.conjugate() * vv * (1 << (k - m))
-        key = ("ip", m, u, v)
-        if self.cache_enabled:
-            hit = self._cache.get(key)
+        key = (m, u, v)
+        cache = self._ip_memo if self.cache_enabled else None
+        if cache is not None:
+            hit = cache.get(key)
             if hit is not None:
                 return hit
         w = 2 * m
         cof = self._cof
         r = (self._inner_rec(m + 1, cof(u, w, 0), cof(v, w, 0), k)
              + self._inner_rec(m + 1, cof(u, w, 1), cof(v, w, 1), k))
-        if self.cache_enabled:
-            self._cache[key] = r
+        if cache is not None:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
         return r
 
     def entry_at(self, vec: int, index, k: int | None = None) -> complex:
@@ -609,23 +713,6 @@ class QuiddManager:
         for i in range(k):
             if var[cur] == 2 * i:
                 cur = high[cur] if (x >> (k - 1 - i)) & 1 else low[cur]
-        v = self._value[cur]
-        if v is None:
-            raise SpaceMismatchError("diagram is deeper than the given k")
-        return v
-
-    def matrix_entry(self, gate: int, row: int, col: int, k: int) -> complex:
-        if not (0 <= row < (1 << k) and 0 <= col < (1 << k)):
-            raise IndexError(f"entry ({row}, {col}) out of range for {k} qubits")
-        cur = gate
-        var, low, high = self._var, self._low, self._high
-        for i in range(k):
-            rbit = (row >> (k - 1 - i)) & 1
-            cbit = (col >> (k - 1 - i)) & 1
-            if var[cur] == 2 * i:
-                cur = high[cur] if rbit else low[cur]
-            if var[cur] == 2 * i + 1:
-                cur = high[cur] if cbit else low[cur]
         v = self._value[cur]
         if v is None:
             raise SpaceMismatchError("diagram is deeper than the given k")
@@ -688,6 +775,69 @@ class QuiddManager:
         return NodeCount(internal, terminal)
 
     # ------------------------------------------------------------------
+    # dead-node collection
+
+    def collect(self, floor: int,
+                roots: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """Free the internal nodes at or above ``floor`` that no root reaches.
+
+        Refs below ``floor`` are left as they are.  Terminals in the region
+        are kept and moved, in order, to its front; the surviving internal
+        nodes follow them, also in order.  Returns the raised floor, which
+        lies past every kept terminal, and the roots renumbered; every
+        other ref at or above the old floor is invalid afterwards.  The
+        computed tables are emptied, since their entries may name freed
+        refs.  The work is linear in the size of the region.
+        """
+        var, low, high, value = self._var, self._low, self._high, self._value
+        size = len(var)
+        if floor >= size:
+            return floor, roots
+        # Nothing below the floor points into the region, so marking stops
+        # at the floor; a terminal's children are -1, which stops it too.
+        live = set()
+        stack = [r for r in roots if r >= floor]
+        while stack:
+            n = stack.pop()
+            if n not in live:
+                live.add(n)
+                if low[n] >= floor:
+                    stack.append(low[n])
+                if high[n] >= floor:
+                    stack.append(high[n])
+        unique = self._unique
+        for key in zip(var[floor:], low[floor:], high[floor:]):
+            unique.pop(key, None)       # terminal keys were never entered
+        region = range(floor, size)
+        terminals = [n for n, v in zip(region, value[floor:]) if v is not None]
+        survivors = sorted(n for n in live if value[n] is None)
+        kept = terminals + survivors
+        moved = dict(zip(kept, range(floor, floor + len(kept))))
+        new_floor = floor + len(terminals)
+        tails = ([var[n] for n in kept],
+                 [moved.get(low[n], low[n]) for n in kept],
+                 [moved.get(high[n], high[n]) for n in kept],
+                 [value[n] for n in kept],
+                 [self._maxvar[n] for n in kept],
+                 [self._hasodd[n] for n in kept])
+        for lst, tail in zip((var, low, high, value, self._maxvar,
+                              self._hasodd), tails):
+            del lst[floor:]
+            lst.extend(tail)
+        # A terminal's grid key is a function of its stored value, the
+        # cell's first representative.
+        self._terminals.update(zip(
+            [(round(z.real / GRID), round(z.imag / GRID))
+             for z in value[floor:new_floor]],
+            range(floor, new_floor)))
+        unique.update(zip(zip(var[new_floor:], low[new_floor:], high[new_floor:]),
+                          range(new_floor, len(var))))
+        self._freed += size - len(var)
+        for memo in self._memos:
+            memo.clear()
+        return new_floor, tuple(moved.get(r, r) for r in roots)
+
+    # ------------------------------------------------------------------
     # dense conversion
 
     def from_dense(self, entries, space: VarSpace) -> int:
@@ -708,19 +858,15 @@ class QuiddManager:
             flat = arr.reshape([2] * (2 * space.k)).transpose(axes).reshape(-1)
         if not np.all(np.isfinite(flat)):
             raise InvalidAmplitudeError("non-finite entries in dense input")
-        levels = space.levels
-        terminal = self.terminal
-        node = self.node
-        var_at = space.var_at_level
+        return self._build(flat, space, 0, 0, len(flat))
 
-        def build(level, lo, hi):
-            if level == levels:
-                return terminal(flat[lo])
-            mid = (lo + hi) >> 1
-            return node(var_at(level), build(level + 1, lo, mid),
-                        build(level + 1, mid, hi))
-
-        return build(0, 0, len(flat))
+    def _build(self, flat, space: VarSpace, level: int, lo: int, hi: int) -> int:
+        if level == space.levels:
+            return self.terminal(flat[lo])
+        mid = (lo + hi) >> 1
+        return self.node(space.var_at_level(level),
+                         self._build(flat, space, level + 1, lo, mid),
+                         self._build(flat, space, level + 1, mid, hi))
 
     def to_dense(self, ref: int, space: VarSpace) -> np.ndarray:
         """Expand a diagram into a dense numpy array.  Guarded by size caps."""
@@ -728,33 +874,30 @@ class QuiddManager:
         if space.k > cap:
             raise SizeCapError(
                 f"dense expansion of k={space.k} {space.kind} exceeds cap {cap}")
-        levels = space.levels
-        memo: dict[tuple[int, int], np.ndarray] = {}
-        value, var, low, high = self._value, self._var, self._low, self._high
-        var_at = space.var_at_level
-
-        def expand(n, level):
-            key = (n, level)
-            out = memo.get(key)
-            if out is not None:
-                return out
-            if value[n] is not None:
-                out = np.full(1 << (levels - level), value[n], dtype=np.complex128)
-            elif var[n] > var_at(level):
-                half = expand(n, level + 1)
-                out = np.concatenate([half, half])
-            else:
-                out = np.concatenate([expand(low[n], level + 1),
-                                      expand(high[n], level + 1)])
-            memo[key] = out
-            return out
-
-        flat = expand(ref, 0)
+        flat = self._expand(ref, 0, space, {})
         if space.kind == "vector":
             return flat
         k = space.k
         axes = [2 * q for q in range(k)] + [2 * q + 1 for q in range(k)]
         return flat.reshape([2] * (2 * k)).transpose(axes).reshape(1 << k, 1 << k)
+
+    def _expand(self, n: int, level: int, space: VarSpace, memo: dict) -> np.ndarray:
+        key = (n, level)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        v = self._value[n]
+        if v is not None:
+            out = np.full(1 << (space.levels - level), v, dtype=np.complex128)
+        elif self._var[n] > space.var_at_level(level):
+            half = self._expand(n, level + 1, space, memo)
+            out = np.concatenate([half, half])
+        else:
+            out = np.concatenate([
+                self._expand(self._low[n], level + 1, space, memo),
+                self._expand(self._high[n], level + 1, space, memo)])
+        memo[key] = out
+        return out
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,72 @@ def test_peak_live_nodes_is_trace_maximum():
     _, _, rec = single_marked_run(9, 17)
     assert rec.peak_live_internal_nodes == max(
         s.live_internal_nodes for s in rec.trace)
+
+
+# ---------------------------------------------------------------------------
+# dead-node collection inside a run
+
+
+class NeverFreeManager(QuiddManager):
+    """A manager that never frees a node: collect() hands back its inputs."""
+
+    def collect(self, floor, roots):
+        return floor, roots
+
+
+def _spread_marked(k, count):
+    return [(i * 2654435761 + 7 * k) % (1 << k) for i in range(count)]
+
+
+@pytest.mark.parametrize("marked", [1, 3, 17])
+@pytest.mark.parametrize("k", [14, 15, 16, 17, 18])
+def test_collection_leaves_runs_bit_identical(k, marked):
+    records = {}
+    for cls in (QuiddManager, NeverFreeManager):
+        m = cls()
+        orc = oracle.compile_marked_set(m, k, _spread_marked(k, marked))
+        ideal = grover.optimal_iterations(1 << k, orc.marked_count)
+        records[cls] = [
+            grover.run(m, orc, GroverParams(k=k, iterations=its, seed=rep,
+                                            shots=4)).comparable()
+            for its in (ideal, 3 * ideal) for rep in range(2)]
+    assert records[QuiddManager] == records[NeverFreeManager]
+
+
+def test_frequent_collection_keeps_refs_and_results(monkeypatch):
+    k = 12
+    plain = NeverFreeManager()
+    want = grover.run(plain, oracle.compile_marked_set(plain, k, [5, 900]),
+                      GroverParams(k=k, shots=8))
+    monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, [5, 900])
+    before = m.dump(orc.phase_vector)
+    rec = grover.run(m, orc, GroverParams(k=k, shots=8))
+    assert rec.comparable() == want.comparable()
+    assert m.nodes_created == plain.nodes_created
+    assert m.size < plain.size
+    # Refs issued before the run are untouched; the final state is valid.
+    assert m.dump(orc.phase_vector) == before
+    assert np.array_equal(m.to_dense(rec.final_state, vector_space(k)),
+                          plain.to_dense(want.final_state, vector_space(k)))
+    again = grover.run(m, orc, GroverParams(k=k, shots=8))
+    assert again.comparable() == want.comparable()
+
+
+def test_collection_bounds_run_memory():
+    k = 20
+    peaks = {}
+    for cls in (QuiddManager, NeverFreeManager):
+        m = cls()
+        orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+        tracemalloc.start()
+        try:
+            grover.run(m, orc, GroverParams(k=k, shots=0))
+            peaks[cls] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[QuiddManager] * 3 <= peaks[NeverFreeManager], peaks
 
 
 # ---------------------------------------------------------------------------

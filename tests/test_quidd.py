@@ -1,12 +1,16 @@
 """Core diagram behaviour: interning, reduction, and the graph algebra."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quiddsim import gates, oracle
+from quiddsim.cnf import CnfFormula
 from quiddsim.quidd import (
     GRID,
     InvalidAmplitudeError,
@@ -491,6 +495,121 @@ def test_tiny_cache_limit_preserves_results():
                      m.from_dense(v, vector_space(4)), 4)
         outs.append(m.to_dense(r, vector_space(4)))
     assert np.max(np.abs(outs[0] - outs[1])) == 0
+
+
+def test_every_computed_table_respects_cache_limit():
+    m = QuiddManager(cache_limit=8)
+    rng = np.random.default_rng(8)
+    a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
+    v = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
+    m.matvec(m.matmat(a, b, 3), u, 3)
+    m.matvec(m.terminal(0.5), u, 3)
+    m.matvec(a, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.inner_product(u, m.apply("mul", u, v), 3)
+    m.matrix_diagonal(m.tensor(a, b, 3), 6)
+    assert all(0 < len(memo) <= 8 for memo in m._memos)
+
+
+# ---------------------------------------------------------------------------
+# dead-node collection
+
+
+def _random_vector(m, rng, k):
+    """A vector diagram with few distinct amplitudes, so it shares nodes."""
+    return m.from_dense(rng.integers(-2, 3, size=1 << k).astype(complex),
+                        vector_space(k))
+
+
+def test_collect_keeps_roots_and_refs_below_floor():
+    m = QuiddManager()
+    rng = np.random.default_rng(11)
+    k = 5
+    old = _random_vector(m, rng, k)
+    old_dump = m.dump(old)
+    floor = m.size
+    # Garbage and roots interleaved above the floor, sharing structure.
+    roots = []
+    for _ in range(6):
+        x = _random_vector(m, rng, k)
+        m.apply("add", x, old)
+        roots.append(m.apply("mul", x, _random_vector(m, rng, k)))
+    roots.append(m.terminal(0.25))
+    dense_before = [m.to_dense(r, vector_space(k)) for r in roots]
+    created = m.nodes_created
+    size = m.size
+
+    new_floor, moved = m.collect(floor, tuple(roots))
+
+    assert m.size < size
+    assert m.nodes_created == created      # a running total, not the size
+    assert floor <= new_floor <= m.size
+    assert m.dump(old) == old_dump
+    for r, want in zip(moved, dense_before):
+        assert np.array_equal(m.to_dense(r, vector_space(k)), want)
+        # Canonicity: rebuilding the contents finds the renumbered node.
+        assert m.from_dense(want, vector_space(k)) == r
+        assert_well_formed(m, r)
+
+
+def test_collect_keeps_terminals_below_the_raised_floor():
+    m = QuiddManager()
+    floor = m.size
+    one = m.terminal(1)
+    half = m.terminal(0.5 + 1e-16)          # the cell's first representative
+    m.node(0, one, half)                    # dead
+    live = m.node(2, half, one)
+    new_floor, (live,) = m.collect(floor, (live,))
+    assert (new_floor, m.size) == (floor + 2, floor + 3)
+    one, half = m.terminal(1), m.terminal(0.5)
+    assert one < new_floor and half < new_floor
+    assert m.value(half) == 0.5 + 1e-16
+    assert m.dump(live).splitlines()[-1] == f"{live} 2 {half} {one}"
+    # The freed node's key is gone from the unique table: re-interning
+    # it makes a new node at the top of the store.
+    assert m.node(0, one, half) == m.size - 1 == live + 1
+
+
+def test_collect_empties_computed_tables_and_stays_consistent():
+    m = QuiddManager()
+    rng = np.random.default_rng(12)
+    g = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    floor = m.size
+    v = _random_vector(m, rng, 3)
+    w = m.matvec(g, v, 3)
+    m.matvec(g, _random_vector(m, rng, 3), 3)
+    want = m.to_dense(w, vector_space(3))
+    floor, (v, w) = m.collect(floor, (v, w))
+    assert not any(m._memos)
+    assert m.matvec(g, v, 3) == w
+    assert np.array_equal(m.to_dense(w, vector_space(3)), want)
+
+
+# Each case reaches one recursive builder or walker, and nothing else that
+# could hold the manager in a reference cycle.
+@pytest.mark.parametrize("build", [
+    lambda m: m.from_dense(np.arange(8.0), vector_space(3)),
+    lambda m: m.to_dense(m.node(0, m.terminal(0), m.terminal(1)),
+                         vector_space(2)),
+    lambda m: gates.diffusion(m, 3),
+    lambda m: oracle.compile_marked_set(m, 5, [3, 17]),
+    lambda m: oracle.any_marked_index(
+        m, oracle.compile_cnf(m, CnfFormula(3, ((1, -2), (3,))))),
+], ids=["from_dense", "to_dense", "diffusion", "compile_marked_set",
+        "any_marked_index"])
+def test_dropped_manager_is_freed_without_cycle_collector(build):
+    gc.collect()
+    gc.disable()
+    try:
+        m = QuiddManager()
+        build(m)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+        assert gc.collect() == 0        # and no other cycle was left
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
