@@ -8,8 +8,7 @@ simulator, classical search baselines and a benchmark CLI (``bench``).
 from .quidd import (GRID, InvalidAmplitudeError, NodeCount, QuiddError,
                     QuiddManager, SizeCapError, SpaceMismatchError, VarSpace,
                     VariableOrderError, matrix_space, vector_space)
-from .gates import (GateKind, GateSizeError, GateSpec, build_gate, diffusion,
-                    hadamard_all, identity_gate, phase_shift_about_zero)
+from .gates import GateSizeError, diffusion, hadamard_all, identity_gate
 from .cnf import (CnfFormula, DimacsError, FormulaError, PlantedInstance,
                   enumerate_models, parity_3cnf, parse_dimacs,
                   parse_marked_file, planted_3cnf, random_3cnf, to_dimacs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfFormula, FormulaError, evaluate_bits, evaluate_index, is_3cnf
+from .cnf import CnfFormula, FormulaError, evaluate_bits, is_3cnf
 from .grover import optimal_iterations
 
 _SCAN_BLOCK = 4096
@@ -47,17 +47,6 @@ class MarkedSetPredicate:
         pos = np.searchsorted(self._sorted, xs)
         pos = np.clip(pos, 0, self._sorted.size - 1)
         return self._sorted[pos] == xs
-
-
-class CnfPredicate:
-    """Predicate view of a CNF formula over packed assignment indices."""
-
-    def __init__(self, formula: CnfFormula):
-        self.formula = formula
-        self.k = formula.num_vars
-
-    def __call__(self, x: int) -> bool:
-        return evaluate_index(self.formula, x)
 
 
 def deterministic_scan(predicate, n_items: int, order=None) -> QueryLedger:

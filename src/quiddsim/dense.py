@@ -60,14 +60,6 @@ def identity_matrix(k: int) -> np.ndarray:
     return np.eye(1 << k, dtype=np.complex128)
 
 
-def phase_shift_about_zero_matrix(k: int) -> np.ndarray:
-    """diag(+1, -1, -1, ...): flips the phase of everything but |0...0>."""
-    _check_matrix_k(k)
-    d = -np.ones(1 << k, dtype=np.complex128)
-    d[0] = 1.0
-    return np.diag(d)
-
-
 def diffusion_matrix(k: int) -> np.ndarray:
     """Inversion about the mean: 2/2^k everywhere, minus one on the diagonal."""
     _check_matrix_k(k)
@@ -86,27 +78,6 @@ def phase_vector(k: int, marked) -> np.ndarray:
             raise IndexError(f"marked index {x} out of range for {k} qubits")
         v[x] = -1.0
     return v
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.kron(a, b)
-    if out.ndim == 2 and out.shape[0] > (1 << MATRIX_QUBIT_CAP):
-        raise SizeCapError("kron result exceeds the dense matrix cap")
-    if out.ndim == 1 and out.shape[0] > (1 << VECTOR_QUBIT_CAP):
-        raise SizeCapError("kron result exceeds the dense vector cap")
-    return out
-
-
-def matvec(gate: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    if gate.shape[1] != vec.shape[0]:
-        raise ValueError(f"shape mismatch: {gate.shape} @ {vec.shape}")
-    return gate @ vec
-
-
-def matmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,14 @@
 All gates are matrix diagrams over the interleaved row/column variable
 order.  The inversion-about-mean operator is built directly from its
 closed form (2/2^k off the diagonal, 2/2^k - 1 on it) rather than by
-composing Hadamard sandwiches; the composed construction is kept only as
-a cross-check in the tests.
+composing Hadamard sandwiches.  The composed construction, and the
+phase shift about zero that it needs, live only in the tests, as a
+cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,23 +19,6 @@ from .quidd import QuiddError, QuiddManager, matrix_space
 
 class GateSizeError(QuiddError):
     """Gate requested for a non-positive qubit count."""
-
-
-class GateKind(Enum):
-    HADAMARD = "hadamard"
-    IDENTITY = "identity"
-    PHASE_SHIFT_ABOUT_ZERO = "phase_shift_about_zero"
-    DIFFUSION = "diffusion"
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    kind: GateKind
-    qubits: int
-
-    def __post_init__(self):
-        if self.qubits < 1:
-            raise GateSizeError(f"gates need at least one qubit, got {self.qubits}")
 
 
 def _check_k(k: int) -> None:
@@ -64,17 +46,6 @@ def identity_gate(m: QuiddManager, k: int) -> int:
     return g
 
 
-def phase_shift_about_zero(m: QuiddManager, k: int) -> int:
-    """2|0...0><0...0| - I: keeps |0...0|, phase-flips every other state."""
-    _check_k(k)
-    p1 = m.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]), matrix_space(1))
-    proj = p1
-    for i in range(1, k):
-        proj = m.tensor(proj, p1, i)
-    return m.apply("add", m.scalar_mul(2.0, proj),
-                   m.scalar_mul(-1.0, identity_gate(m, k)))
-
-
 def diffusion(m: QuiddManager, k: int) -> int:
     """Inversion about the mean, 2|u><u| - I for the uniform state u.
 
@@ -87,12 +58,3 @@ def diffusion(m: QuiddManager, k: int) -> int:
     return m.apply("add", m.terminal(off),
                    m.scalar_mul(-1.0, identity_gate(m, k)))
 
-
-def build_gate(m: QuiddManager, spec: GateSpec) -> int:
-    builder = {
-        GateKind.HADAMARD: hadamard_all,
-        GateKind.IDENTITY: identity_gate,
-        GateKind.PHASE_SHIFT_ABOUT_ZERO: phase_shift_about_zero,
-        GateKind.DIFFUSION: diffusion,
-    }[spec.kind]
-    return builder(m, spec.qubits)

@@ -32,10 +32,6 @@ class Predicate:
         if (self.marked is None) == (self.formula is None):
             raise OracleError("exactly one of marked/formula must be given")
 
-    @property
-    def kind(self) -> str:
-        return "marked_set" if self.marked is not None else "cnf"
-
 
 @dataclass(frozen=True)
 class Oracle:
@@ -56,29 +52,22 @@ class OracleSizeReport:
     terminal_nodes: int
 
 
+def _marked_leaf(v: complex) -> int:
+    if v == -1:
+        return 1
+    if v == 1:
+        return 0
+    raise OracleError(f"phase oracle terminal {v!r} is not +/-1")
+
+
 def _count_marked(m: QuiddManager, ref: int, k: int) -> int:
-    """Number of -1 entries, by path counting weighted with 2^(skipped levels)."""
-    counts = m.subtree_sums(ref, k, lambda v: 1 if v.real < 0 else 0)
+    """Number of -1 entries, by path counting weighted with 2^(skipped levels).
+
+    Raises :class:`OracleError` if a reachable terminal is not +/-1.
+    """
+    counts = m.subtree_sums(ref, k, _marked_leaf)
     top = k if m.is_terminal(ref) else m.var(ref) // 2
     return counts[ref] << top
-
-
-def _checked_oracle(m: QuiddManager, ref: int, k: int, prov: Predicate) -> Oracle:
-    seen = set()
-    stack = [ref]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        if m.is_terminal(n):
-            if m.value(n) not in (1, -1):
-                raise OracleError(
-                    f"phase oracle terminal {m.value(n)!r} is not +/-1")
-        else:
-            stack.append(m.low(n))
-            stack.append(m.high(n))
-    return Oracle(ref, k, _count_marked(m, ref, k), prov)
 
 
 def compile_marked_set(m: QuiddManager, k: int, indices) -> Oracle:
@@ -96,7 +85,8 @@ def compile_marked_set(m: QuiddManager, k: int, indices) -> Oracle:
     plus = m.terminal(1)
     minus = m.terminal(-1)
     ref = _build_marked(m, idx, plus, minus, 0, 0, 1 << k, 0, len(idx))
-    return _checked_oracle(m, ref, k, Predicate(k, marked=frozenset(idx)))
+    return Oracle(ref, k, _count_marked(m, ref, k),
+                  Predicate(k, marked=frozenset(idx)))
 
 
 def _build_marked(m: QuiddManager, idx: list[int], plus: int, minus: int,
@@ -114,7 +104,7 @@ def _build_marked(m: QuiddManager, idx: list[int], plus: int, minus: int,
                   _build_marked(m, idx, plus, minus, level + 1, mid, hi, split, i1))
 
 
-def _clause_indicator(m: QuiddManager, clause, num_vars: int) -> int:
+def _clause_indicator(m: QuiddManager, clause) -> int:
     """0/1 diagram of one clause; at most one internal node per literal."""
     signs: dict[int, bool] = {}
     for lit in clause:
@@ -139,14 +129,19 @@ def compile_cnf(m: QuiddManager, formula: CnfFormula) -> Oracle:
     """
     acc = m.terminal(1)
     for clause in formula.clauses:
-        acc = m.apply("mul", acc, _clause_indicator(m, clause, formula.num_vars))
+        acc = m.apply("mul", acc, _clause_indicator(m, clause))
     phase = m.apply("add", m.terminal(1), m.scalar_mul(-2.0, acc))
-    return _checked_oracle(m, phase, formula.num_vars,
-                           Predicate(formula.num_vars, formula=formula))
+    return Oracle(phase, formula.num_vars,
+                  _count_marked(m, phase, formula.num_vars),
+                  Predicate(formula.num_vars, formula=formula))
 
 
 def model_count(m: QuiddManager, oracle: Oracle) -> int:
-    """Recount the marked set size from the diagram (always exact)."""
+    """Recount the marked set size from the diagram (always exact).
+
+    Raises :class:`OracleError` if the diagram has a terminal other than
+    +/-1.
+    """
     return _count_marked(m, oracle.phase_vector, oracle.k)
 
 

@@ -105,14 +105,6 @@ class VarSpace:
         # Vectors sit on the even (row) variables only.
         return 2 * level if self.kind == "vector" else level
 
-    def row_var(self, qubit: int) -> int:
-        return 2 * qubit
-
-    def col_var(self, qubit: int) -> int:
-        if self.kind != "matrix":
-            raise SpaceMismatchError("column variables exist only in matrix spaces")
-        return 2 * qubit + 1
-
 
 def vector_space(k: int) -> VarSpace:
     return VarSpace("vector", k)
@@ -153,12 +145,10 @@ class QuiddManager:
         self._vs_memo: dict = {}
         self._rs_memo: dict = {}
         self._mm_memo: dict = {}
-        self._diag_memo: dict = {}
         self._ip_memo: dict = {}
         self._memos = (self._add_memo, self._mul_memo, self._shift_memo,
                        self._graft_memo, self._mv_memo, self._vs_memo,
-                       self._rs_memo, self._mm_memo, self._diag_memo,
-                       self._ip_memo)
+                       self._rs_memo, self._mm_memo, self._ip_memo)
         self._freed = 0         # nodes released by collect()
         self.cache_enabled = cache_enabled
         self.cache_limit = cache_limit
@@ -250,6 +240,19 @@ class QuiddManager:
     def high(self, ref: int) -> int:
         return self._high[ref]
 
+    def _remember(self, cache: dict, key, r):
+        """Enter ``r`` under ``key`` in a computed table and return it.
+
+        The one eviction rule of every table: a table that holds
+        ``cache_limit`` entries is emptied before the insert.  With
+        ``cache_enabled`` off nothing is entered.
+        """
+        if self.cache_enabled:
+            if len(cache) >= self.cache_limit:
+                cache.clear()
+            cache[key] = r
+        return r
+
     def _cof(self, ref: int, var: int, bit: int) -> int:
         if self._var[ref] == var:
             return self._high[ref] if bit else self._low[ref]
@@ -292,33 +295,25 @@ class QuiddManager:
         if vb is not None:
             return self._add_const(b, a)
         key = (a, b) if a <= b else (b, a)
-        cache = self._add_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._add_memo.get(key)
+        if hit is not None:
+            return hit
         var, low, high = self._var, self._low, self._high
         wa, wb = var[a], var[b]
         w = wa if wa < wb else wb
         a0, a1 = (low[a], high[a]) if wa == w else (a, a)
         b0, b1 = (low[b], high[b]) if wb == w else (b, b)
         r = self.node(w, self._add(a0, b0), self._add(a1, b1))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._add_memo, key, r)
 
     def _add_const(self, c: int, x: int) -> int:
         # One operand is a terminal: walk the other diagram alone.  This is
         # the inner loop of a matrix-vector multiply, where every level adds
         # its own constant partial sum into the accumulated result.
         key = (c, x)
-        cache = self._add_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._add_memo.get(key)
+        if hit is not None:
+            return hit
         value, low, high = self._value, self._low, self._high
         cv = value[c]
         lo, hi = low[x], high[x]
@@ -328,11 +323,7 @@ class QuiddManager:
         rhi = (self._term(cv + vhi) if vhi is not None
                else self._add_const(c, hi))
         r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._add_memo, key, r)
 
     def _mul(self, a: int, b: int) -> int:
         value = self._value
@@ -352,30 +343,22 @@ class QuiddManager:
         if vb is not None:
             return self._mul_const(b, a)
         key = (a, b) if a <= b else (b, a)
-        cache = self._mul_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._mul_memo.get(key)
+        if hit is not None:
+            return hit
         var, low, high = self._var, self._low, self._high
         wa, wb = var[a], var[b]
         w = wa if wa < wb else wb
         a0, a1 = (low[a], high[a]) if wa == w else (a, a)
         b0, b1 = (low[b], high[b]) if wb == w else (b, b)
         r = self.node(w, self._mul(a0, b0), self._mul(a1, b1))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._mul_memo, key, r)
 
     def _mul_const(self, c: int, x: int) -> int:
         key = (c, x)
-        cache = self._mul_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._mul_memo.get(key)
+        if hit is not None:
+            return hit
         value, low, high = self._value, self._low, self._high
         cv = value[c]
         lo, hi = low[x], high[x]
@@ -385,11 +368,7 @@ class QuiddManager:
         rhi = (self._term(cv * vhi) if vhi is not None
                else self._mul_const(c, hi))
         r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._mul_memo, key, r)
 
     def scalar_mul(self, scalar, a: int) -> int:
         z = complex(scalar)
@@ -422,37 +401,25 @@ class QuiddManager:
         if delta == 0 or self._value[b] is not None:
             return b
         key = (b, delta)
-        cache = self._shift_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._shift_memo.get(key)
+        if hit is not None:
+            return hit
         r = self.node(self._var[b] + delta,
                       self._shift(self._low[b], delta),
                       self._shift(self._high[b], delta))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._shift_memo, key, r)
 
     def _graft(self, a: int, b: int) -> int:
         va = self._value[a]
         if va is not None:
             return self.scalar_mul(va, b)
         key = (a, b)
-        cache = self._graft_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._graft_memo.get(key)
+        if hit is not None:
+            return hit
         r = self.node(self._var[a], self._graft(self._low[a], b),
                       self._graft(self._high[a], b))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._graft_memo, key, r)
 
     # ------------------------------------------------------------------
     # matrix algebra
@@ -499,11 +466,9 @@ class QuiddManager:
             # profile scaled once, and the profile caches per gate node.
             return self._mul(w, self._rowsum_rec(m, g, k)), 0j
         key = (m, g, w)
-        cache = self._mv_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._mv_memo.get(key)
+        if hit is not None:
+            return hit
         rv = 2 * m
         cv = rv + 1
         cof = self._cof
@@ -535,11 +500,7 @@ class QuiddManager:
             off = lo_off
             hi = self._add(self._term(hi_off - lo_off), hi)
         r = (lo if lo == hi else self.node(rv, lo, hi)), off
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._mv_memo, key, r)
 
     def _vecsum_rec(self, m: int, w: int, k: int) -> complex:
         """Sum of all 2^(k-m) entries of a vector diagram below level m."""
@@ -547,21 +508,15 @@ class QuiddManager:
         if wv is not None:
             return wv * (1 << (k - m))
         key = (m, w)
-        cache = self._vs_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._vs_memo.get(key)
+        if hit is not None:
+            return hit
         if self._var[w] == 2 * m:
             r = (self._vecsum_rec(m + 1, self._low[w], k)
                  + self._vecsum_rec(m + 1, self._high[w], k))
         else:
             r = 2 * self._vecsum_rec(m + 1, w, k)
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._vs_memo, key, r)
 
     def _rowsum_rec(self, m: int, g: int, k: int) -> int:
         """Vector of per-row sums of a matrix block below level m."""
@@ -569,11 +524,9 @@ class QuiddManager:
         if gv is not None:
             return self._term(gv * (1 << (k - m)))
         key = (m, g)
-        cache = self._rs_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._rs_memo.get(key)
+        if hit is not None:
+            return hit
         rv = 2 * m
         cv = rv + 1
         cof = self._cof
@@ -585,11 +538,7 @@ class QuiddManager:
         hi = self._add(self._rowsum_rec(m1, cof(g1, cv, 0), k),
                        self._rowsum_rec(m1, cof(g1, cv, 1), k))
         r = self.node(rv, lo, hi)
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._rs_memo, key, r)
 
     def matmat(self, a: int, b: int, k: int) -> int:
         """Matrix product of two k-qubit matrix diagrams."""
@@ -607,11 +556,9 @@ class QuiddManager:
         if av is not None and bv is not None:
             return self.terminal(av * bv * (1 << (k - m)))
         key = (m, a, b)
-        cache = self._mm_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._mm_memo.get(key)
+        if hit is not None:
+            return hit
         rv = 2 * m
         cv = rv + 1
         cof = self._cof
@@ -629,37 +576,7 @@ class QuiddManager:
         c10 = add(mm(m1, a10, b00, k), mm(m1, a11, b10, k))
         c11 = add(mm(m1, a10, b01, k), mm(m1, a11, b11, k))
         r = self.node(rv, self.node(cv, c00, c01), self.node(cv, c10, c11))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
-
-    def matrix_diagonal(self, gate: int, k: int) -> int:
-        """Extract the diagonal of a matrix diagram as a vector diagram."""
-        self._check_matrix(gate, k)
-        return self._diag_rec(0, gate, k)
-
-    def _diag_rec(self, m: int, g: int, k: int) -> int:
-        if self._value[g] is not None or m == k:
-            return g
-        key = (m, g)
-        cache = self._diag_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        rv = 2 * m
-        cv = rv + 1
-        g00 = self._cof(self._cof(g, rv, 0), cv, 0)
-        g11 = self._cof(self._cof(g, rv, 1), cv, 1)
-        r = self.node(rv, self._diag_rec(m + 1, g00, k),
-                      self._diag_rec(m + 1, g11, k))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._mm_memo, key, r)
 
     # ------------------------------------------------------------------
     # scalar queries
@@ -678,20 +595,14 @@ class QuiddManager:
         if uv is not None and vv is not None:
             return uv.conjugate() * vv * (1 << (k - m))
         key = (m, u, v)
-        cache = self._ip_memo if self.cache_enabled else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._ip_memo.get(key)
+        if hit is not None:
+            return hit
         w = 2 * m
         cof = self._cof
         r = (self._inner_rec(m + 1, cof(u, w, 0), cof(v, w, 0), k)
              + self._inner_rec(m + 1, cof(u, w, 1), cof(v, w, 1), k))
-        if cache is not None:
-            if len(cache) >= self.cache_limit:
-                cache.clear()
-            cache[key] = r
-        return r
+        return self._remember(self._ip_memo, key, r)
 
     def entry_at(self, vec: int, index, k: int | None = None) -> complex:
         """Amplitude of one basis state.
@@ -755,24 +666,26 @@ class QuiddManager:
                        + sums[hi] * (1 << (qhi - q - 1)))
         return sums
 
-    def count_nodes(self, *roots: int) -> NodeCount:
-        """Reachable internal and terminal node counts, deduplicated."""
+    def _reachable(self, roots) -> set:
+        """Every node reachable from ``roots``, terminals included."""
+        value, low, high = self._value, self._low, self._high
         seen = set()
         stack = list(roots)
-        internal = terminal = 0
-        value, low, high = self._value, self._low, self._high
         while stack:
             n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            if value[n] is not None:
-                terminal += 1
-            else:
-                internal += 1
-                stack.append(low[n])
-                stack.append(high[n])
-        return NodeCount(internal, terminal)
+            if n not in seen:
+                seen.add(n)
+                if value[n] is None:
+                    stack.append(low[n])
+                    stack.append(high[n])
+        return seen
+
+    def count_nodes(self, *roots: int) -> NodeCount:
+        """Reachable internal and terminal node counts, deduplicated."""
+        seen = self._reachable(roots)
+        value = self._value
+        terminal = sum(1 for n in seen if value[n] is not None)
+        return NodeCount(len(seen) - terminal, terminal)
 
     # ------------------------------------------------------------------
     # dead-node collection
@@ -909,18 +822,8 @@ class QuiddManager:
         ``<id> <var> <low-id> <high-id>`` for internal nodes and
         ``<id> T <re> <im>`` for terminals.
         """
-        seen = set()
-        stack = list(roots)
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            if self._value[n] is None:
-                stack.append(self._low[n])
-                stack.append(self._high[n])
         lines = []
-        for n in sorted(seen):
+        for n in sorted(self._reachable(roots)):
             v = self._value[n]
             if v is None:
                 lines.append(f"{n} {self._var[n]} {self._low[n]} {self._high[n]}")

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from quiddsim import baselines
 from quiddsim.baselines import (
-    CnfPredicate,
     MarkedSetPredicate,
     QueryLedger,
     WITH_REPLACEMENT,
@@ -154,13 +153,6 @@ def test_with_replacement_median_stays_near_geometric_law():
     meds = [randomized_search(pred, n, WITH_REPLACEMENT, seed=t).queries
             for t in range(20000)]
     assert statistics.median(meds) <= (n / (2 * m)) * 1.4
-
-
-def test_cnf_predicate_matches_formula():
-    inst = planted_3cnf(8, seed=4)
-    pred = CnfPredicate(inst.formula)
-    assert pred(inst.hidden_index)
-    assert pred.k == 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Experiment drivers and the bench CLI: CSV contracts and determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quiddsim
 from quiddsim import bench, cli, grover
 from quiddsim.bench import ExperimentConfig
 from quiddsim.oracle import compile_marked_set
@@ -305,3 +310,44 @@ def test_cli_oracle_stats_roundtrip(tmp_path, capsys):
     assert "5 oracles" in err
     ks = [int(line.split(",")[0]) for line in read_lines(out)[1:]]
     assert ks == [4, 5, 6, 7, 8]
+
+
+# ---------------------------------------------------------------------------
+# scripts/run_all.py
+
+
+RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+RUN_ALL_HEADERS = {
+    "scaling.csv": bench.SCALING_HEADER,
+    "oracle_stats.csv": bench.ORACLE_STATS_HEADER,
+    "crossover.csv": bench.CROSSOVER_HEADER,
+    "trace.csv": bench.TRACE_HEADER,
+    "repeat_until_all_found.csv": bench.REPEAT_ALL_HEADER,
+}
+
+
+def _untimed_rows(path):
+    """CSV lines with the wall-clock columns (wall_ns, compile_ns) dropped."""
+    lines = read_lines(path)
+    header = lines[0].split(",")
+    keep = [i for i, col in enumerate(header)
+            if col not in ("wall_ns", "compile_ns")]
+    return [[line.split(",")[i] for i in keep] for line in lines]
+
+
+def test_run_all_quick_writes_every_csv_deterministically(tmp_path):
+    src = str(Path(quiddsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, str(RUN_ALL), "--quick", "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(out)
+    for fname, header in RUN_ALL_HEADERS.items():
+        assert read_lines(runs[0] / fname)[0] == header
+        assert _untimed_rows(runs[0] / fname) == _untimed_rows(runs[1] / fname)

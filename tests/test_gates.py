@@ -8,8 +8,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddsim import dense, gates
-from quiddsim.gates import GateKind, GateSizeError, GateSpec
+from quiddsim.gates import GateSizeError
 from quiddsim.quidd import QuiddManager, matrix_space, vector_space
+
+
+def phase_shift_about_zero(m, k):
+    """2|0...0><0...0| - I: keeps |0...0>, phase-flips every other state."""
+    p1 = m.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]), matrix_space(1))
+    proj = p1
+    for i in range(1, k):
+        proj = m.tensor(proj, p1, i)
+    return m.apply("add", m.scalar_mul(2.0, proj),
+                   m.scalar_mul(-1.0, gates.identity_gate(m, k)))
+
+
+def phase_shift_about_zero_matrix(k):
+    """diag(+1, -1, -1, ...): flips the phase of everything but |0...0>."""
+    d = -np.ones(1 << k, dtype=np.complex128)
+    d[0] = 1.0
+    return np.diag(d)
+
+
+# The four gates of the Grover construction and its cross-check.
+GATE_BUILDERS = (gates.hadamard_all, gates.identity_gate,
+                 phase_shift_about_zero, gates.diffusion)
 
 
 def test_hadamard_k1_definition(manager):
@@ -46,27 +68,32 @@ def test_identity_node_count_linear(k):
 
 
 def test_phase_shift_k1(manager):
-    got = manager.to_dense(gates.phase_shift_about_zero(manager, 1),
+    got = manager.to_dense(phase_shift_about_zero(manager, 1),
                            matrix_space(1))
     assert np.array_equal(got, np.diag([1, -1]).astype(complex))
 
 
+def test_phase_shift_about_zero_matrix():
+    p = phase_shift_about_zero_matrix(2)
+    assert np.array_equal(np.diag(p), np.array([1, -1, -1, -1], dtype=complex))
+    assert np.count_nonzero(p - np.diag(np.diag(p))) == 0
+
+
 def test_phase_shift_on_uniform_state(manager):
     k = 3
-    p = gates.phase_shift_about_zero(manager, k)
+    p = phase_shift_about_zero(manager, k)
     u = manager.from_dense(dense.uniform_state(k), vector_space(k))
     got = manager.to_dense(manager.matvec(p, u, k), vector_space(k))
-    expect = dense.matvec(dense.phase_shift_about_zero_matrix(k),
-                          dense.uniform_state(k))
+    expect = phase_shift_about_zero_matrix(k) @ dense.uniform_state(k)
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9])
 def test_phase_shift_diagonal_node_count(manager, k):
-    # Viewed as a diagonal vector this has one decision per qubit.
-    p = gates.phase_shift_about_zero(manager, k)
-    diag = manager.matrix_diagonal(p, k)
-    assert manager.count_nodes(diag).internal == k
+    # Linear in k over the three terminals 1, -1 and 0: the all-zero
+    # prefix chain plus the shared -I tail below it.
+    p = phase_shift_about_zero(manager, k)
+    assert manager.count_nodes(p) == (5 * k - 2, 3)
 
 
 def test_diffusion_worked_example(manager):
@@ -103,15 +130,15 @@ def test_diffusion_equals_hadamard_sandwich(manager):
     # Composed H (2|0><0|-I) H meets the direct construction at the same node.
     for k in (1, 2, 3, 5):
         h = gates.hadamard_all(manager, k)
-        p = gates.phase_shift_about_zero(manager, k)
+        p = phase_shift_about_zero(manager, k)
         composed = manager.matmat(h, manager.matmat(p, h, k), k)
         assert composed == gates.diffusion(manager, k)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_gates_are_unitary(manager, k):
-    for kind in GateKind:
-        g = gates.build_gate(manager, GateSpec(kind=kind, qubits=k))
+    for build in GATE_BUILDERS:
+        g = build(manager, k)
         gd = manager.to_dense(g, matrix_space(k))
         assert np.max(np.abs(gd.conj().T @ gd - np.eye(1 << k))) < 1e-10
 
@@ -123,8 +150,8 @@ def test_gates_preserve_norm(k, seed):
     v = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     v /= np.linalg.norm(v)
     rv = m.from_dense(v, vector_space(k))
-    for kind in GateKind:
-        g = gates.build_gate(m, GateSpec(kind=kind, qubits=k))
+    for build in GATE_BUILDERS:
+        g = build(m, k)
         out = m.matvec(g, rv, k)
         assert abs(m.inner_product(out, out, k).real - 1) < 1e-9
 
@@ -140,5 +167,3 @@ def test_invalid_sizes_rejected(manager):
         gates.hadamard_all(manager, 0)
     with pytest.raises(GateSizeError):
         gates.diffusion(manager, -1)
-    with pytest.raises(GateSizeError):
-        GateSpec(kind=GateKind.HADAMARD, qubits=0)

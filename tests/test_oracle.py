@@ -242,10 +242,15 @@ def test_any_marked_and_unmarked(manager):
     assert oracle.any_unmarked_index(manager, full) is None
 
 
+def test_phase_terminal_other_than_plus_minus_one_is_rejected(manager):
+    ref = manager.from_dense([1, 0.5], vector_space(1))
+    bad = oracle.Oracle(ref, 1, 0, Predicate(k=1, marked=frozenset()))
+    with pytest.raises(OracleError, match="not \\+/-1"):
+        oracle.model_count(manager, bad)
+
+
 def test_predicate_validation():
     with pytest.raises(OracleError):
         Predicate(k=3)
     with pytest.raises(OracleError):
         Predicate(k=3, marked=frozenset({1}), formula=CnfFormula(3, ()))
-    assert Predicate(k=3, marked=frozenset({1})).kind == "marked_set"
-    assert Predicate(k=3, formula=CnfFormula(3, ())).kind == "cnf"

@@ -446,14 +446,6 @@ def test_matrix_round_trip(manager):
     assert rg == manager.from_dense(g, matrix_space(3))
 
 
-def test_matrix_diagonal_extraction(manager):
-    d = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-    rd = manager.from_dense(d, matrix_space(2))
-    diag = manager.matrix_diagonal(rd, 2)
-    got = manager.to_dense(diag, vector_space(2))
-    assert np.array_equal(got, np.array([1, -1, -1, 1], dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # cache behaviour
 
@@ -470,6 +462,20 @@ def test_cache_disabled_gives_identical_references():
         rg = m.from_dense(g, matrix_space(4))
         outs.append(m.to_dense(m.matvec(rg, rv, 4), vector_space(4)))
     assert np.max(np.abs(outs[0] - outs[1])) == 0
+
+
+def test_cache_disabled_enters_nothing():
+    m = QuiddManager(cache_enabled=False)
+    rng = np.random.default_rng(9)
+    a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
+    m.matvec(m.matmat(a, b, 3), u, 3)
+    m.matvec(m.terminal(0.5), u, 3)
+    m.matvec(a, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.inner_product(u, m.apply("mul", u, u), 3)
+    m.tensor(a, b, 3)
+    assert all(len(memo) == 0 for memo in m._memos)
 
 
 def test_cache_toggle_within_one_manager(manager):
@@ -508,7 +514,7 @@ def test_every_computed_table_respects_cache_limit():
     m.matvec(m.terminal(0.5), u, 3)
     m.matvec(a, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
     m.inner_product(u, m.apply("mul", u, v), 3)
-    m.matrix_diagonal(m.tensor(a, b, 3), 6)
+    m.tensor(a, b, 3)
     assert all(0 < len(memo) <= 8 for memo in m._memos)
 
 
