@@ -6,6 +6,12 @@ records amplitudes, success probability, norm and live node footprint
 after every iteration, and samples measurements from the final state
 without mutating it: :func:`sampler` sums the state's subtree masses
 once and then draws any number of shots from them.
+
+Recording the trace allocates no node.  The success probability is an
+inner product of the state with itself masked by the marked-set
+indicator, and the live count walks only the state's nodes beyond the
+run's fixed diagrams (oracle phase, indicator, diffusion), whose own
+nodes are counted once per collection.
 """
 
 from __future__ import annotations
@@ -192,18 +198,33 @@ def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
     return sampler(m, state, k)(rng)
 
 
+def _fixed_nodes(m: QuiddManager, *roots: int) -> tuple[set, int]:
+    """The nodes of a run's fixed diagrams and how many are internal."""
+    nodes = m.reachable(*roots)
+    return nodes, sum(1 for n in nodes if not m.is_terminal(n))
+
+
 def _stats(m: QuiddManager, t: int, state: int, indicator: int,
            marked_idx: int | None, unmarked_idx: int | None,
-           live_roots: tuple[int, ...], k: int) -> IterationStats:
+           fixed: tuple[set, int], k: int) -> IterationStats:
+    """The trace entry for ``state``; allocates no node.
+
+    The success probability is the inner product of the state with
+    itself masked by the 0/1 ``indicator``, so the masked state is never
+    built.  The live count is the union of the state with the run's
+    fixed diagrams (oracle phase, indicator, diffusion): ``fixed`` holds
+    their nodes and internal count, and only the state's nodes beyond
+    them are walked.
+    """
     marked_amp = (m.entry_at(state, marked_idx, k)
                   if marked_idx is not None else None)
     unmarked_amp = (m.entry_at(state, unmarked_idx, k)
                     if unmarked_idx is not None else None)
-    masked = m.apply("mul", indicator, state)
-    p = m.inner_product(masked, masked, k).real
+    p = m.inner_product(state, state, k, indicator).real
     p = min(max(p, 0.0), 1.0)
     norm_sq = m.inner_product(state, state, k).real
-    live = m.count_nodes(state, *live_roots).internal
+    fixed_nodes, fixed_internal = fixed
+    live = fixed_internal + m.count_nodes(state, exclude=fixed_nodes).internal
     return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq, live)
 
 
@@ -242,22 +263,23 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     indicator = indicator_vector(m, oracle)
     marked_idx = any_marked_index(m, oracle)
     unmarked_idx = any_unmarked_index(m, oracle)
-    live_roots = (oracle.phase_vector, indicator, diffusion_ref)
+    fixed = _fixed_nodes(m, oracle.phase_vector, indicator, diffusion_ref)
 
     state = initialize_state(m, k)
     trace = [_stats(m, 0, state, indicator, marked_idx, unmarked_idx,
-                    live_roots, k)]
+                    fixed, k)]
     queries = 0
     loop_start = time.perf_counter_ns()
     for t in range(1, iterations + 1):
         state = grover_iterate(m, oracle, state, diffusion_ref)
         queries += 1
         trace.append(_stats(m, t, state, indicator, marked_idx, unmarked_idx,
-                            live_roots, k))
+                            fixed, k))
         if m.nodes_created - collected_at >= COLLECT_EVERY:
             floor, (state, indicator, diffusion_ref) = m.collect(
                 floor, (state, indicator, diffusion_ref))
-            live_roots = (oracle.phase_vector, indicator, diffusion_ref)
+            fixed = _fixed_nodes(m, oracle.phase_vector, indicator,
+                                 diffusion_ref)
             collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
 

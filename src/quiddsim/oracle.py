@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .cnf import CnfFormula
-from .quidd import QuiddError, QuiddManager
+from .quidd import QuiddError, QuiddManager, depth_checked
 
 
 class OracleError(QuiddError):
@@ -70,6 +70,7 @@ def _count_marked(m: QuiddManager, ref: int, k: int) -> int:
     return counts[ref] << top
 
 
+@depth_checked
 def compile_marked_set(m: QuiddManager, k: int, indices) -> Oracle:
     """Compile an explicit marked set into a phase oracle.
 
@@ -177,9 +178,11 @@ def _find_index(m: QuiddManager, ref: int, k: int, want_marked: bool,
                        (prefix << 1) | 1)
 
 
+@depth_checked
 def any_marked_index(m: QuiddManager, oracle: Oracle) -> int | None:
     return _find_index(m, oracle.phase_vector, oracle.k, True)
 
 
+@depth_checked
 def any_unmarked_index(m: QuiddManager, oracle: Oracle) -> int | None:
     return _find_index(m, oracle.phase_vector, oracle.k, False)

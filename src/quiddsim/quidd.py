@@ -39,6 +39,7 @@ Refs from different managers must never be mixed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -78,6 +79,35 @@ class SpaceMismatchError(QuiddError):
 
 class SizeCapError(QuiddError):
     """Dense expansion request beyond the configured qubit cap."""
+
+
+class DiagramDepthError(QuiddError):
+    """A diagram too deep for the recursive kernels under the recursion limit."""
+
+
+class MaskError(QuiddError):
+    """A mask diagram with a terminal other than 0 or 1."""
+
+
+def depth_checked(entry):
+    """Raise :class:`DiagramDepthError` where ``entry`` hits the recursion limit.
+
+    The recursive kernels recurse once per decision level, so a diagram
+    with about as many levels as ``sys.getrecursionlimit()`` exhausts the
+    stack.  The check sits at the public entry only: the kernels keep no
+    depth counter, and a ``try`` costs nothing until it catches.  Every
+    node and computed-table entry made before the failure is complete,
+    so the manager stays usable.
+    """
+    @functools.wraps(entry)
+    def checked(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except RecursionError:
+            raise DiagramDepthError(
+                f"{entry.__name__}: diagram too deep for the recursion "
+                "limit") from None
+    return checked
 
 
 NodeCount = namedtuple("NodeCount", "internal terminal")
@@ -261,6 +291,7 @@ class QuiddManager:
     # ------------------------------------------------------------------
     # elementwise operations
 
+    @depth_checked
     def apply(self, op: str, a: int, b: int) -> int:
         """Pointwise combine two diagrams; op is 'add' or 'mul'."""
         if op == _ADD:
@@ -370,6 +401,7 @@ class QuiddManager:
         r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
         return self._remember(self._mul_memo, key, r)
 
+    @depth_checked
     def scalar_mul(self, scalar, a: int) -> int:
         z = complex(scalar)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -383,6 +415,7 @@ class QuiddManager:
     # ------------------------------------------------------------------
     # tensor product
 
+    @depth_checked
     def tensor(self, a: int, b: int, left_qubits: int) -> int:
         """Tensor product with ``a`` on the ``left_qubits`` high-order qubits.
 
@@ -436,6 +469,7 @@ class QuiddManager:
             raise SpaceMismatchError(
                 f"matrix operand exceeds {k} qubits (max var {self._maxvar[g]})")
 
+    @depth_checked
     def matvec(self, gate: int, vec: int, k: int) -> int:
         """Multiply a matrix diagram into a vector diagram over k qubits."""
         if k < 1:
@@ -540,6 +574,7 @@ class QuiddManager:
         r = self.node(rv, lo, hi)
         return self._remember(self._rs_memo, key, r)
 
+    @depth_checked
     def matmat(self, a: int, b: int, k: int) -> int:
         """Matrix product of two k-qubit matrix diagrams."""
         if k < 1:
@@ -581,11 +616,25 @@ class QuiddManager:
     # ------------------------------------------------------------------
     # scalar queries
 
-    def inner_product(self, u: int, v: int, k: int) -> complex:
-        """<u|v> with the left operand conjugated."""
+    @depth_checked
+    def inner_product(self, u: int, v: int, k: int,
+                      mask: int | None = None) -> complex:
+        """<u|v> with the left operand conjugated.
+
+        With a 0/1 vector ``mask`` it is <u|diag(mask)|v>, the sum over
+        the entries where the mask is 1, taken without building the
+        masked vectors.  The sum runs in the same order as the unmasked
+        one, so ``inner_product(v, v, k, mask)`` equals
+        ``inner_product(w, w, k)`` for ``w = apply("mul", mask, v)`` bit
+        for bit.  A mask terminal other than exactly 0 or 1 that the walk
+        reaches raises :class:`MaskError`.
+        """
         self._check_vector(u, k)
         self._check_vector(v, k)
-        return self._inner_rec(0, u, v, k)
+        if mask is None:
+            return self._inner_rec(0, u, v, k)
+        self._check_vector(mask, k)
+        return self._masked_inner_rec(0, mask, u, v, k)
 
     def _inner_rec(self, m: int, u: int, v: int, k: int) -> complex:
         value = self._value
@@ -602,6 +651,34 @@ class QuiddManager:
         cof = self._cof
         r = (self._inner_rec(m + 1, cof(u, w, 0), cof(v, w, 0), k)
              + self._inner_rec(m + 1, cof(u, w, 1), cof(v, w, 1), k))
+        return self._remember(self._ip_memo, key, r)
+
+    def _masked_inner_rec(self, m: int, mask: int, u: int, v: int,
+                          k: int) -> complex:
+        # Follows _mul(mask, .) on the way down: where the mask is 1 the
+        # masked vector is the operand itself, so the unmasked kernel takes
+        # over (and shares its table entries); where it is 0 the sum is 0.
+        # Keys (m, mask, u, v) share the table with _inner_rec's (m, u, v).
+        value = self._value
+        mv = value[mask]
+        if mv is not None:
+            if mv == 1:
+                return self._inner_rec(m, u, v, k)
+            if mv == 0:
+                return 0j
+            raise MaskError(f"mask terminal {mv!r} is not 0 or 1")
+        if value[u] == 0 or value[v] == 0:
+            return 0j
+        key = (m, mask, u, v)
+        hit = self._ip_memo.get(key)
+        if hit is not None:
+            return hit
+        w = 2 * m
+        cof = self._cof
+        r = (self._masked_inner_rec(m + 1, cof(mask, w, 0), cof(u, w, 0),
+                                    cof(v, w, 0), k)
+             + self._masked_inner_rec(m + 1, cof(mask, w, 1), cof(u, w, 1),
+                                      cof(v, w, 1), k))
         return self._remember(self._ip_memo, key, r)
 
     def entry_at(self, vec: int, index, k: int | None = None) -> complex:
@@ -666,23 +743,33 @@ class QuiddManager:
                        + sums[hi] * (1 << (qhi - q - 1)))
         return sums
 
-    def _reachable(self, roots) -> set:
-        """Every node reachable from ``roots``, terminals included."""
+    def reachable(self, *roots: int, exclude=frozenset()) -> set:
+        """Every node reachable from ``roots`` and not in ``exclude``,
+        terminals included.
+
+        The walk stops at the nodes of ``exclude``, so ``exclude`` must
+        hold every child of each of its nodes, as a ``reachable`` set does.
+        """
         value, low, high = self._value, self._low, self._high
         seen = set()
         stack = list(roots)
         while stack:
             n = stack.pop()
-            if n not in seen:
+            if n not in seen and n not in exclude:
                 seen.add(n)
                 if value[n] is None:
                     stack.append(low[n])
                     stack.append(high[n])
         return seen
 
-    def count_nodes(self, *roots: int) -> NodeCount:
-        """Reachable internal and terminal node counts, deduplicated."""
-        seen = self._reachable(roots)
+    def count_nodes(self, *roots: int, exclude=frozenset()) -> NodeCount:
+        """Reachable internal and terminal node counts, deduplicated.
+
+        Nodes in ``exclude`` (a :meth:`reachable` set) are neither walked
+        nor counted, so a count against a fixed set of diagrams walks only
+        what lies beyond it.
+        """
+        seen = self.reachable(*roots, exclude=exclude)
         value = self._value
         terminal = sum(1 for n in seen if value[n] is not None)
         return NodeCount(len(seen) - terminal, terminal)
@@ -823,7 +910,7 @@ class QuiddManager:
         ``<id> T <re> <im>`` for terminals.
         """
         lines = []
-        for n in sorted(self._reachable(roots)):
+        for n in sorted(self.reachable(*roots)):
             v = self._value[n]
             if v is None:
                 lines.append(f"{n} {self._var[n]} {self._low[n]} {self._high[n]}")

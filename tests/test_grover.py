@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quiddsim import dense, grover, oracle
+from quiddsim import dense, gates, grover, oracle
 from quiddsim.grover import GroverParams, NoSolutionError
 from quiddsim.quidd import QuiddManager, vector_space
 
@@ -271,6 +271,44 @@ def test_frequent_collection_keeps_refs_and_results(monkeypatch):
                           plain.to_dense(want.final_state, vector_space(k)))
     again = grover.run(m, orc, GroverParams(k=k, shots=8))
     assert again.comparable() == want.comparable()
+
+
+def full_walk_live_counts(k, marked, iterations):
+    """Live counts by definition: one walk over the state and the run's
+    three fixed diagrams together, in a manager that never collects."""
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, marked)
+    diffusion = gates.diffusion(m, k)
+    indicator = oracle.indicator_vector(m, orc)
+    state = grover.initialize_state(m, k)
+    counts = []
+    for t in range(iterations + 1):
+        if t:
+            state = grover.grover_iterate(m, orc, state, diffusion)
+        counts.append(m.count_nodes(state, orc.phase_vector, indicator,
+                                    diffusion).internal)
+    return counts
+
+
+@pytest.mark.parametrize("marked", [1, 3])
+@pytest.mark.parametrize("k", [14, 15, 16])
+def test_live_count_equals_full_walk_under_collection(monkeypatch, k, marked):
+    monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, _spread_marked(k, marked))
+    rec = grover.run(m, orc, GroverParams(k=k, shots=0))
+    assert m.size < m.nodes_created        # the run collected
+    assert [s.live_internal_nodes for s in rec.trace] == full_walk_live_counts(
+        k, _spread_marked(k, marked), rec.iterations)
+
+
+def test_live_count_when_the_state_is_the_indicator():
+    # At k=2 one iteration maps the uniform state onto the marked basis
+    # state, which is the indicator diagram itself: the union adds nothing.
+    m, orc, rec = single_marked_run(2, 2, iterations=1)
+    assert rec.final_state == oracle.indicator_vector(m, orc)
+    _, _, rec = single_marked_run(2, 2, iterations=3)
+    assert [s.live_internal_nodes for s in rec.trace] == [10, 10, 12, 10]
 
 
 def test_collection_bounds_run_memory():

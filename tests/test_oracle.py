@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quiddsim import cnf, dense, oracle
 from quiddsim.cnf import CnfFormula
 from quiddsim.oracle import OracleError, Predicate
-from quiddsim.quidd import QuiddManager, vector_space
+from quiddsim.quidd import DiagramDepthError, QuiddManager, vector_space
 
 
 def phase_entries(m, orc):
@@ -142,6 +142,30 @@ def test_unsatisfiable_cnf_marks_nothing(manager):
 def test_tautological_clause_is_dropped(manager):
     orc = oracle.compile_cnf(manager, CnfFormula(2, ((1, -1),)))
     assert orc.marked_count == 4
+
+
+def _chain(n):
+    """(x_i or x_i+1) for i < n: a CNF whose diagram is linear in n."""
+    return CnfFormula(n, tuple((i, i + 1) for i in range(1, n)))
+
+
+def test_chain_cnf_compiles_to_a_linear_diagram(manager):
+    orc = oracle.compile_cnf(manager, _chain(400))
+    assert manager.count_nodes(orc.phase_vector).internal == 798
+
+
+def test_too_deep_diagrams_raise_a_typed_error(manager):
+    with pytest.raises(DiagramDepthError):
+        oracle.compile_cnf(manager, _chain(1200))
+    with pytest.raises(DiagramDepthError):
+        oracle.compile_marked_set(manager, 1200, [5])
+    # One node, but 1199 skipped levels above it for the index search.
+    shallow = oracle.compile_cnf(manager, CnfFormula(1200, ((1200,),)))
+    with pytest.raises(DiagramDepthError):
+        oracle.any_marked_index(manager, shallow)
+    # Everything made before the failure is complete: the manager still works.
+    orc = oracle.compile_cnf(manager, _chain(400))
+    assert manager.count_nodes(orc.phase_vector).internal == 798
 
 
 # ---------------------------------------------------------------------------

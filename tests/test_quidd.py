@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quiddsim import gates, oracle
@@ -14,6 +14,7 @@ from quiddsim.cnf import CnfFormula
 from quiddsim.quidd import (
     GRID,
     InvalidAmplitudeError,
+    MaskError,
     QuiddManager,
     SizeCapError,
     SpaceMismatchError,
@@ -314,6 +315,50 @@ def test_inner_product_matches_vdot(u, v):
     assert abs(m.inner_product(rv, ru, 3) - got.conjugate()) < 1e-10
 
 
+# Few distinct amplitudes, so equal halves reduce away and skip levels.
+FEW_AMPLITUDES = st.sampled_from([0, 0.5, -0.25, 0.3j, 0.6 - 0.2j, 1e-9])
+
+
+@st.composite
+def masked_vectors(draw):
+    k = draw(st.integers(1, 6))
+    n = 1 << k
+    mask = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    u = draw(st.lists(FEW_AMPLITUDES, min_size=n, max_size=n))
+    v = draw(st.lists(FEW_AMPLITUDES, min_size=n, max_size=n))
+    return k, mask, u, v
+
+
+@given(masked_vectors())
+@example((3, [1] * 8, [0.5] * 8, [0.5, -0.25] * 4))     # mask is terminal 1
+@example((3, [0] * 8, [0.5] * 8, [0.5, -0.25] * 4))     # mask is terminal 0
+@example((3, [0, 1] * 4, [0.3j] * 8, [0.3j] * 8))       # vectors are terminals
+@example((4, [0, 0, 1, 1] * 4, [0.5] * 16,              # mask and vector skip
+          [0.5, -0.25, 0.5, -0.25, 0.3j, 0.3j, 0.3j, 0.3j] * 2))  # other qubits
+def test_masked_inner_product_equals_inner_product_of_masked_vector(case):
+    k, mask, u, v = case
+    space = vector_space(k)
+    m = QuiddManager()
+    ru, rv, rmask = (m.from_dense(np.array(x, dtype=complex), space)
+                     for x in (u, v, mask))
+    got = m.inner_product(rv, rv, k, rmask)
+    # The masked vector is built in a manager of its own, so no table
+    # entry of the masked walk can reach the reference.
+    ref = QuiddManager()
+    w = ref.apply("mul", ref.from_dense(np.array(mask, dtype=complex), space),
+                  ref.from_dense(np.array(v, dtype=complex), space))
+    assert got == ref.inner_product(w, w, k)
+    want = np.vdot(np.array(u), np.array(mask) * np.array(v))
+    assert abs(m.inner_product(ru, rv, k, rmask) - want) < 1e-12
+
+
+def test_masked_inner_product_rejects_a_mask_that_is_not_zero_one(manager):
+    v = manager.from_dense(np.array([0.5, 0.5j]), vector_space(1))
+    mask = manager.from_dense(np.array([1, 0.5]), vector_space(1))
+    with pytest.raises(MaskError):
+        manager.inner_product(v, v, 1, mask)
+
+
 # ---------------------------------------------------------------------------
 # entries, counting, round trips
 
@@ -474,6 +519,8 @@ def test_cache_disabled_enters_nothing():
     m.matvec(m.terminal(0.5), u, 3)
     m.matvec(a, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
     m.inner_product(u, m.apply("mul", u, u), 3)
+    m.inner_product(u, u, 3, m.from_dense(np.repeat([0.0, 1.0], 4),
+                                          vector_space(3)))
     m.tensor(a, b, 3)
     assert all(len(memo) == 0 for memo in m._memos)
 
