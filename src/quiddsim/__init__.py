@@ -14,7 +14,7 @@ from .cnf import (CnfFormula, DimacsError, FormulaError, PlantedInstance,
                   parse_marked_file, planted_3cnf, random_3cnf, to_dimacs)
 from .oracle import (Oracle, OracleError, OracleSizeReport, Predicate,
                      apply_oracle, compile_cnf, compile_marked_set,
-                     model_count, oracle_size_report)
+                     oracle_size_report)
 from .grover import (GroverParams, GroverRun, IterationStats, NoSolutionError,
                      TraceReport, amplitude_trace_report, grover_iterate,
                      ideal_success_probability, initialize_state, measure,

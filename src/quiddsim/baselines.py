@@ -119,18 +119,16 @@ def randomized_search(predicate, n_items: int, mode: str, seed: int = 0,
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Schoening walk parameters.  ``flips_per_trial`` defaults to 3k."""
+    """Schoening walk parameters.  Every restart walks up to 3k flips for
+    a k-variable formula, the budget of Schoening's algorithm."""
 
     formula: CnfFormula
-    flips_per_trial: int | None = None
     max_restarts: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
-        if self.flips_per_trial is not None and self.flips_per_trial < 0:
-            raise ValueError("flips_per_trial must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -207,8 +205,7 @@ def schoening_walk(config: WalkConfig) -> WalkResult:
     formula = config.formula
     if not is_3cnf(formula):
         raise FormulaError("the walk requires clauses of at most 3 literals")
-    flips_budget = (config.flips_per_trial if config.flips_per_trial is not None
-                    else 3 * formula.num_vars)
+    flips_budget = 3 * formula.num_vars
     rng = random.Random(config.seed)
     inst = _WalkInstance(formula)
     total_flips = 0

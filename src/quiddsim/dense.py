@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quidd import SizeCapError
-
-VECTOR_QUBIT_CAP = 20
-MATRIX_QUBIT_CAP = 12
+from .quidd import MATRIX_QUBIT_CAP, VECTOR_QUBIT_CAP, SizeCapError
 
 
 def _check_vector_k(k: int) -> None:

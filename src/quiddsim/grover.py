@@ -70,13 +70,13 @@ def optimal_iterations(n_items: int, marked_count: int) -> int:
 @dataclass(frozen=True)
 class GroverParams:
     """Run parameters.  ``iterations`` of None means the ideal count for
-    the oracle's own marked count (or the override, for sensitivity runs)."""
+    the oracle's marked count; a run sized for another count M passes
+    ``iterations=optimal_iterations(2**k, M)``."""
 
     k: int
     iterations: int | None = None
     seed: int = 0
     shots: int = 1
-    marked_count_override: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -246,16 +246,13 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
         raise ValueError(f"params.k={params.k} but oracle has k={oracle.k}")
     k = oracle.k
     n_items = 1 << k
-    marked_count = (params.marked_count_override
-                    if params.marked_count_override is not None
-                    else oracle.marked_count)
     no_solution = oracle.marked_count == 0
     if params.iterations is not None:
         iterations = params.iterations
     elif no_solution:
         iterations = 0
     else:
-        iterations = optimal_iterations(n_items, marked_count)
+        iterations = optimal_iterations(n_items, oracle.marked_count)
 
     floor = m.size
     collected_at = m.nodes_created

@@ -137,15 +137,6 @@ def compile_cnf(m: QuiddManager, formula: CnfFormula) -> Oracle:
                   Predicate(formula.num_vars, formula=formula))
 
 
-def model_count(m: QuiddManager, oracle: Oracle) -> int:
-    """Recount the marked set size from the diagram (always exact).
-
-    Raises :class:`OracleError` if the diagram has a terminal other than
-    +/-1.
-    """
-    return _count_marked(m, oracle.phase_vector, oracle.k)
-
-
 def apply_oracle(m: QuiddManager, oracle: Oracle, vec: int) -> int:
     """One oracle query: elementwise phase product with the state."""
     return m.apply("mul", oracle.phase_vector, vec)
@@ -162,27 +153,33 @@ def oracle_size_report(m: QuiddManager, oracle: Oracle) -> OracleSizeReport:
     return OracleSizeReport(oracle.k, oracle.marked_count, internal, terminal)
 
 
-def _find_index(m: QuiddManager, ref: int, k: int, want_marked: bool,
-                level: int = 0, prefix: int = 0) -> int | None:
-    """Smallest-prefix index whose phase matches; skipped bits become 0."""
-    if m.is_terminal(ref):
-        if (m.value(ref).real < 0) == want_marked:
-            return prefix << (k - level)
-        return None
-    if m.var(ref) > 2 * level:
-        return _find_index(m, ref, k, want_marked, level + 1, prefix << 1)
-    hit = _find_index(m, m.low(ref), k, want_marked, level + 1, prefix << 1)
-    if hit is not None:
-        return hit
-    return _find_index(m, m.high(ref), k, want_marked, level + 1,
-                       (prefix << 1) | 1)
+def _find_index(m: QuiddManager, ref: int, k: int,
+                want_marked: bool) -> int | None:
+    """Smallest index whose phase matches, or None; one pass of k levels.
+
+    A reduced +/-1 diagram has both phases below every internal node, so
+    the low child holds a match unless it is a terminal of the other
+    phase.  Skipped bits are 0.
+    """
+    x = 0
+    cur = ref
+    for q in range(k):
+        x <<= 1
+        if m.var(cur) == 2 * q:
+            lo = m.low(cur)
+            if m.is_terminal(lo) and (m.value(lo).real < 0) != want_marked:
+                cur = m.high(cur)
+                x |= 1
+            else:
+                cur = lo
+    if m.is_terminal(cur) and (m.value(cur).real < 0) == want_marked:
+        return x
+    return None
 
 
-@depth_checked
 def any_marked_index(m: QuiddManager, oracle: Oracle) -> int | None:
     return _find_index(m, oracle.phase_vector, oracle.k, True)
 
 
-@depth_checked
 def any_unmarked_index(m: QuiddManager, oracle: Oracle) -> int | None:
     return _find_index(m, oracle.phase_vector, oracle.k, False)

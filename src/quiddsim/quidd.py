@@ -57,6 +57,14 @@ TERMINAL_VAR = 1 << 30
 # 2^(-k/2) at large k.
 GRID = 1e-15
 
+# Largest qubit counts a dense expansion may have: 2^20 vector entries,
+# 2^24 matrix entries.
+VECTOR_QUBIT_CAP = 20
+MATRIX_QUBIT_CAP = 12
+
+# Entries a computed table may hold before it is emptied.
+CACHE_LIMIT = 400_000
+
 _ADD = "add"
 _MUL = "mul"
 
@@ -78,7 +86,7 @@ class SpaceMismatchError(QuiddError):
 
 
 class SizeCapError(QuiddError):
-    """Dense expansion request beyond the configured qubit cap."""
+    """Dense expansion request beyond the qubit cap."""
 
 
 class DiagramDepthError(QuiddError):
@@ -108,6 +116,11 @@ def depth_checked(entry):
                 f"{entry.__name__}: diagram too deep for the recursion "
                 "limit") from None
     return checked
+
+
+def _grid_key(z: complex) -> tuple[int, int]:
+    """The terminal grid cell of ``z``."""
+    return (round(z.real / GRID), round(z.imag / GRID))
 
 
 NodeCount = namedtuple("NodeCount", "internal terminal")
@@ -152,12 +165,11 @@ class QuiddManager:
     unreachable internal nodes above a floor; ``nodes_created`` counts
     every node ever interned, freed ones included.  Live-set sizes are
     measured by reachability from explicit roots via :meth:`count_nodes`.
-    Each computed table is emptied once it holds ``cache_limit`` entries.
+    Each computed table is emptied once it holds ``CACHE_LIMIT`` entries;
+    with ``cache_enabled`` off nothing is entered in them.
     """
 
-    def __init__(self, cache_enabled: bool = True,
-                 dense_cap: int = 20, matrix_dense_cap: int = 12,
-                 cache_limit: int = 400_000):
+    def __init__(self, cache_enabled: bool = True):
         self._var: list[int] = []
         self._low: list[int] = []
         self._high: list[int] = []
@@ -166,7 +178,7 @@ class QuiddManager:
         self._hasodd: list[bool] = []       # touches a column variable
         self._unique: dict[tuple[int, int, int], int] = {}
         self._terminals: dict[tuple[int, int], int] = {}
-        # One computed table per operation, each bounded by cache_limit.
+        # One computed table per operation, each bounded by CACHE_LIMIT.
         self._add_memo: dict = {}
         self._mul_memo: dict = {}
         self._shift_memo: dict = {}
@@ -181,9 +193,6 @@ class QuiddManager:
                        self._rs_memo, self._mm_memo, self._ip_memo)
         self._freed = 0         # nodes released by collect()
         self.cache_enabled = cache_enabled
-        self.cache_limit = cache_limit
-        self.dense_cap = dense_cap
-        self.matrix_dense_cap = matrix_dense_cap
 
     # ------------------------------------------------------------------
     # construction and inspection
@@ -209,7 +218,7 @@ class QuiddManager:
         # Hot-path interner: callers guarantee z is already a complex built
         # from finite inputs, so only overflow needs catching here.
         try:
-            key = (round(z.real / GRID), round(z.imag / GRID))
+            key = _grid_key(z)
         except (OverflowError, ValueError):
             raise InvalidAmplitudeError(f"non-finite amplitude: {z!r}") from None
         ref = self._terminals.get(key)
@@ -274,11 +283,11 @@ class QuiddManager:
         """Enter ``r`` under ``key`` in a computed table and return it.
 
         The one eviction rule of every table: a table that holds
-        ``cache_limit`` entries is emptied before the insert.  With
+        ``CACHE_LIMIT`` entries is emptied before the insert.  With
         ``cache_enabled`` off nothing is entered.
         """
         if self.cache_enabled:
-            if len(cache) >= self.cache_limit:
+            if len(cache) >= CACHE_LIMIT:
                 cache.clear()
             cache[key] = r
         return r
@@ -681,19 +690,8 @@ class QuiddManager:
                                       cof(v, w, 1), k))
         return self._remember(self._ip_memo, key, r)
 
-    def entry_at(self, vec: int, index, k: int | None = None) -> complex:
-        """Amplitude of one basis state.
-
-        ``index`` may be an int (requires ``k``) or a bit string such as
-        '01101', most significant bit first.
-        """
-        if isinstance(index, str):
-            k = len(index)
-            x = int(index, 2)
-        else:
-            x = int(index)
-            if k is None:
-                raise ValueError("k is required for integer indices")
+    def entry_at(self, vec: int, x: int, k: int) -> complex:
+        """Amplitude of basis state ``x`` of a k-qubit vector."""
         if not 0 <= x < (1 << k):
             raise IndexError(f"index {x} out of range for {k} qubits")
         cur = vec
@@ -748,7 +746,8 @@ class QuiddManager:
         terminals included.
 
         The walk stops at the nodes of ``exclude``, so ``exclude`` must
-        hold every child of each of its nodes, as a ``reachable`` set does.
+        hold every child of each of its nodes, as a ``reachable`` set or
+        ``range(floor)`` does.
         """
         value, low, high = self._value, self._low, self._high
         seen = set()
@@ -793,18 +792,9 @@ class QuiddManager:
         size = len(var)
         if floor >= size:
             return floor, roots
-        # Nothing below the floor points into the region, so marking stops
-        # at the floor; a terminal's children are -1, which stops it too.
-        live = set()
-        stack = [r for r in roots if r >= floor]
-        while stack:
-            n = stack.pop()
-            if n not in live:
-                live.add(n)
-                if low[n] >= floor:
-                    stack.append(low[n])
-                if high[n] >= floor:
-                    stack.append(high[n])
+        # Children precede parents, so the nodes below the floor are
+        # closed under children and the walk can stop there.
+        live = self.reachable(*roots, exclude=range(floor))
         unique = self._unique
         for key in zip(var[floor:], low[floor:], high[floor:]):
             unique.pop(key, None)       # terminal keys were never entered
@@ -826,10 +816,8 @@ class QuiddManager:
             lst.extend(tail)
         # A terminal's grid key is a function of its stored value, the
         # cell's first representative.
-        self._terminals.update(zip(
-            [(round(z.real / GRID), round(z.imag / GRID))
-             for z in value[floor:new_floor]],
-            range(floor, new_floor)))
+        self._terminals.update(zip(map(_grid_key, value[floor:new_floor]),
+                                   range(floor, new_floor)))
         unique.update(zip(zip(var[new_floor:], low[new_floor:], high[new_floor:]),
                           range(new_floor, len(var))))
         self._freed += size - len(var)
@@ -870,7 +858,7 @@ class QuiddManager:
 
     def to_dense(self, ref: int, space: VarSpace) -> np.ndarray:
         """Expand a diagram into a dense numpy array.  Guarded by size caps."""
-        cap = self.dense_cap if space.kind == "vector" else self.matrix_dense_cap
+        cap = VECTOR_QUBIT_CAP if space.kind == "vector" else MATRIX_QUBIT_CAP
         if space.k > cap:
             raise SizeCapError(
                 f"dense expansion of k={space.k} {space.kind} exceeds cap {cap}")

@@ -183,15 +183,6 @@ def test_walk_reports_failure_on_unsatisfiable_formula():
     assert res.restarts_used == 50
 
 
-def test_walk_with_zero_flip_budget_still_verifies():
-    inst = planted_3cnf(4, seed=7)
-    res = schoening_walk(WalkConfig(inst.formula, flips_per_trial=0,
-                                    max_restarts=5000, seed=7))
-    assert res.satisfied
-    assert res.total_flips == 0
-    assert evaluate_bits(inst.formula, res.assignment)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_returns_only_verified_assignments(seed):
     inst = planted_3cnf(12, seed=seed)
@@ -227,8 +218,6 @@ def test_walk_config_validation():
     formula = CnfFormula(num_vars=3, clauses=((1, 2, 3),))
     with pytest.raises(ValueError):
         WalkConfig(formula, max_restarts=0)
-    with pytest.raises(ValueError):
-        WalkConfig(formula, flips_per_trial=-1)
 
 
 # ---------------------------------------------------------------------------

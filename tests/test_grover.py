@@ -203,13 +203,6 @@ def test_state_holds_two_amplitude_classes():
     assert m.count_nodes(rec.final_state).internal <= 3 * 8
 
 
-def test_marked_count_override_changes_iterations(manager):
-    orc = oracle.compile_marked_set(manager, 6, [1])
-    rec = grover.run(manager, orc,
-                     GroverParams(k=6, marked_count_override=4))
-    assert rec.iterations == grover.optimal_iterations(64, 4)
-
-
 def test_run_reproducible_across_managers():
     _, _, a = single_marked_run(6, 9, seed=42, shots=3)
     _, _, b = single_marked_run(6, 9, seed=42, shots=3)

@@ -115,7 +115,6 @@ def test_random_3cnf_model_count_matches_brute_force(manager):
     orc = oracle.compile_cnf(manager, f)
     models = cnf.enumerate_models(f)
     assert orc.marked_count == len(models)
-    assert oracle.model_count(manager, orc) == len(models)
     got = phase_entries(manager, orc)
     for x in range(1 << 10):
         assert got[x] == (-1 if x in set(models) else 1)
@@ -159,10 +158,11 @@ def test_too_deep_diagrams_raise_a_typed_error(manager):
         oracle.compile_cnf(manager, _chain(1200))
     with pytest.raises(DiagramDepthError):
         oracle.compile_marked_set(manager, 1200, [5])
-    # One node, but 1199 skipped levels above it for the index search.
+    # One node, but 1199 skipped levels above it: the index search is a
+    # loop, so depth does not bound it.
     shallow = oracle.compile_cnf(manager, CnfFormula(1200, ((1200,),)))
-    with pytest.raises(DiagramDepthError):
-        oracle.any_marked_index(manager, shallow)
+    assert oracle.any_marked_index(manager, shallow) == 1
+    assert oracle.any_unmarked_index(manager, shallow) == 0
     # Everything made before the failure is complete: the manager still works.
     orc = oracle.compile_cnf(manager, _chain(400))
     assert manager.count_nodes(orc.phase_vector).internal == 798
@@ -174,12 +174,12 @@ def test_too_deep_diagrams_raise_a_typed_error(manager):
 
 def test_model_count_constant_minus_one(manager):
     orc = oracle.compile_marked_set(manager, 4, range(16))
-    assert oracle.model_count(manager, orc) == 16
+    assert orc.marked_count == 16
 
 
 def test_model_count_single_marked_k8(manager):
     orc = oracle.compile_marked_set(manager, 8, [200])
-    assert oracle.model_count(manager, orc) == 1
+    assert orc.marked_count == 1
 
 
 def test_model_count_random_37_of_k12(manager):
@@ -189,7 +189,7 @@ def test_model_count_random_37_of_k12(manager):
     while len(marked) < 37:
         marked.add(rng.randrange(1 << 12))
     orc = oracle.compile_marked_set(manager, 12, marked)
-    assert oracle.model_count(manager, orc) == 37
+    assert orc.marked_count == 37
 
 
 def test_apply_oracle_empty_set_is_reference_neutral(manager):
@@ -266,11 +266,23 @@ def test_any_marked_and_unmarked(manager):
     assert oracle.any_unmarked_index(manager, full) is None
 
 
+@given(k=st.integers(1, 8), data=st.data())
+def test_index_search_finds_the_smallest_match(k, data):
+    n = 1 << k
+    marked = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    if data.draw(st.booleans()):
+        marked = set(range(n)) - marked     # so near-full sets come up too
+    unmarked = set(range(n)) - marked
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, marked)
+    assert oracle.any_marked_index(m, orc) == min(marked, default=None)
+    assert oracle.any_unmarked_index(m, orc) == min(unmarked, default=None)
+
+
 def test_phase_terminal_other_than_plus_minus_one_is_rejected(manager):
     ref = manager.from_dense([1, 0.5], vector_space(1))
-    bad = oracle.Oracle(ref, 1, 0, Predicate(k=1, marked=frozenset()))
     with pytest.raises(OracleError, match="not \\+/-1"):
-        oracle.model_count(manager, bad)
+        oracle._count_marked(manager, ref, 1)
 
 
 def test_predicate_validation():

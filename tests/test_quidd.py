@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quiddsim import gates, oracle
+from quiddsim import gates, oracle, quidd
 from quiddsim.cnf import CnfFormula
 from quiddsim.quidd import (
     GRID,
@@ -366,19 +366,23 @@ def test_masked_inner_product_rejects_a_mask_that_is_not_zero_one(manager):
 def test_entry_at_constant_diagram(manager):
     c = manager.terminal(0.125)
     assert manager.entry_at(c, 5, k=3) == 0.125
-    assert manager.entry_at(c, "011") == 0.125
+    assert manager.entry_at(c, 0b011, k=3) == 0.125
 
 
 def test_entry_at_uniform_state(manager):
     u = manager.from_dense(np.full(32, 1 / math.sqrt(32), dtype=complex),
                            vector_space(5))
-    assert abs(manager.entry_at(u, "01101") - 1 / math.sqrt(32)) < 1e-12
+    assert abs(manager.entry_at(u, 0b01101, k=5) - 1 / math.sqrt(32)) < 1e-12
 
 
-def test_entry_at_int_and_string_agree(manager):
-    v = manager.from_dense(np.arange(8, dtype=complex), vector_space(3))
+def test_entry_at_follows_skipped_levels(manager):
+    # Qubit 0 is skipped at the root, qubit 2 below it: entry x depends on
+    # bit 1 (value 2) only.
+    want = np.array([1, 1, 2, 2, 1, 1, 2, 2], dtype=complex)
+    v = manager.from_dense(want, vector_space(3))
+    assert manager.count_nodes(v).internal == 1
     for idx in range(8):
-        assert manager.entry_at(v, idx, k=3) == manager.entry_at(v, f"{idx:03b}")
+        assert manager.entry_at(v, idx, k=3) == want[idx]
 
 
 def test_entry_at_recovers_every_dense_entry(manager):
@@ -392,11 +396,9 @@ def test_entry_at_recovers_every_dense_entry(manager):
 def test_entry_at_rejects_bad_index(manager):
     v = manager.from_dense(np.arange(4, dtype=complex), vector_space(2))
     with pytest.raises(SpaceMismatchError):
-        manager.entry_at(v, "0")        # too short for the diagram
+        manager.entry_at(v, 0, k=1)     # k too small for the diagram
     with pytest.raises(IndexError):
         manager.entry_at(v, 4, k=2)     # out of range
-    with pytest.raises(ValueError):
-        manager.entry_at(v, 1)          # int index needs k
 
 
 def test_count_nodes_terminal(manager):
@@ -470,17 +472,17 @@ def test_canonicity_across_construction_routes(manager):
 
 
 def test_to_dense_respects_vector_cap():
-    m = QuiddManager(dense_cap=6)
+    m = QuiddManager()
     c = m.terminal(1.0)
     with pytest.raises(SizeCapError):
-        m.to_dense(c, vector_space(7))
+        m.to_dense(c, vector_space(21))
 
 
 def test_to_dense_respects_matrix_cap():
-    m = QuiddManager(matrix_dense_cap=3)
+    m = QuiddManager()
     c = m.terminal(1.0)
     with pytest.raises(SizeCapError):
-        m.to_dense(c, matrix_space(4))
+        m.to_dense(c, matrix_space(13))
 
 
 def test_matrix_round_trip(manager):
@@ -536,22 +538,26 @@ def test_cache_toggle_within_one_manager(manager):
     assert manager.matvec(rg, rv, 4) == cached
 
 
-def test_tiny_cache_limit_preserves_results():
-    big = QuiddManager()
-    tiny = QuiddManager(cache_limit=8)     # forces constant eviction
-    rng = np.random.default_rng(7)
+def _matvec_dense(seed):
+    m = QuiddManager()
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(16, 16)).astype(complex)
     v = rng.normal(size=16).astype(complex)
-    outs = []
-    for m in (big, tiny):
-        r = m.matvec(m.from_dense(g, matrix_space(4)),
-                     m.from_dense(v, vector_space(4)), 4)
-        outs.append(m.to_dense(r, vector_space(4)))
-    assert np.max(np.abs(outs[0] - outs[1])) == 0
+    r = m.matvec(m.from_dense(g, matrix_space(4)),
+                 m.from_dense(v, vector_space(4)), 4)
+    return m.to_dense(r, vector_space(4))
 
 
-def test_every_computed_table_respects_cache_limit():
-    m = QuiddManager(cache_limit=8)
+def test_tiny_cache_limit_preserves_results(monkeypatch):
+    big = _matvec_dense(7)
+    monkeypatch.setattr(quidd, "CACHE_LIMIT", 8)    # forces constant eviction
+    tiny = _matvec_dense(7)
+    assert np.max(np.abs(big - tiny)) == 0
+
+
+def test_every_computed_table_respects_cache_limit(monkeypatch):
+    monkeypatch.setattr(quidd, "CACHE_LIMIT", 8)
+    m = QuiddManager()
     rng = np.random.default_rng(8)
     a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
