@@ -15,20 +15,22 @@ from pathlib import Path
 from quiddsim import cli
 
 
-def experiment_args(quick: bool):
+def experiment_args(quick: bool, seed: int):
+    """(experiment, flags) pairs; crossover is analytic and takes no seed."""
     scaling_max = "14" if quick else "20"
     reps = "1" if quick else "3"
     oracle_max = "12" if quick else "24"
     cross = ("10", "14") if quick else ("10", "20")
     repeat_reps = "200" if quick else "1000"
+    seeded = ["--seed", str(seed)]
     return [
         ("scaling", ["--k-min", "10", "--k-max", scaling_max,
-                     "--reps", reps]),
-        ("oracle_stats", ["--k-min", "4", "--k-max", oracle_max]),
+                     "--reps", reps, *seeded]),
+        ("oracle_stats", ["--k-min", "4", "--k-max", oracle_max, *seeded]),
         ("crossover", ["--k-min", cross[0], "--k-max", cross[1]]),
-        ("trace", ["--k-min", "6", "--iter-mult", "3"]),
+        ("trace", ["--k-min", "6", "--iter-mult", "3", *seeded]),
         ("repeat_until_all_found", ["--k-min", "6", "--m", "4",
-                                    "--reps", repeat_reps]),
+                                    "--reps", repeat_reps, *seeded]),
     ]
 
 
@@ -43,9 +45,9 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, extra in experiment_args(args.quick):
+    for name, extra in experiment_args(args.quick, args.seed):
         out = out_dir / f"{name}.csv"
-        argv_exp = [name, *extra, "--seed", str(args.seed), "--out", str(out)]
+        argv_exp = [name, *extra, "--out", str(out)]
         print(f"== bench {' '.join(argv_exp)}", flush=True)
         start = time.perf_counter()
         rc = cli.main(argv_exp)

@@ -39,7 +39,13 @@ REPEAT_ALL_HEADER = "experiment,repetitions"
 
 @dataclass
 class ExperimentConfig:
-    """Shared knob set for every experiment kind."""
+    """Settings of one experiment; each kind reads only some of them.
+
+    A marked-set file (``marked_path``) and a CNF file (``cnf_path``)
+    each replace the set drawn from ``marked_count``, so at most one of
+    the three may be given; ``iterations`` and ``iteration_multiplier``
+    likewise exclude each other.
+    """
 
     kind: str
     k_min: int = 10
@@ -62,6 +68,15 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.marked_count is not None and self.marked_count < 0:
             raise ValueError("marked count must be >= 0")
+        if self.marked_path is not None and self.cnf_path is not None:
+            raise ValueError("give a marked-set file or a CNF file, not both")
+        if self.marked_count is not None and (self.marked_path is not None
+                                              or self.cnf_path is not None):
+            raise ValueError("a marked count conflicts with an input file, "
+                             "which fixes the marked set")
+        if self.iterations is not None and self.iteration_multiplier is not None:
+            raise ValueError("give an iteration count or a multiplier, "
+                             "not both")
 
 
 def _fmt(x) -> str:
@@ -237,7 +252,7 @@ def run_trace(cfg: ExperimentConfig) -> grover.GroverRun:
     m = QuiddManager()
     oracle = _oracle_from_config(m, cfg, k)
     iterations = cfg.iterations
-    if iterations is None and cfg.iteration_multiplier is not None:
+    if cfg.iteration_multiplier is not None:
         if oracle.marked_count == 0:
             raise ValueError("iteration multiplier needs a solvable oracle")
         base = grover.optimal_iterations(1 << k, oracle.marked_count)

@@ -2,14 +2,23 @@
 
 Usage::
 
-    bench <experiment> [--k-min N] [--k-max N] [--m N]
-                       [--marked FILE | --cnf FILE]
-                       [--reps N] [--seed N] [--out PATH]
+    bench scaling      [--k-min N] [--k-max N] [--m N] [--reps N]
+                       [--seed N] [--out PATH]
+    bench oracle_stats [--k-min N] [--k-max N]
+                       [--m N | --marked FILE | --cnf FILE]
+                       [--seed N] [--out PATH]
+    bench crossover    [--k-min N] [--k-max N] [--m N] [--out PATH]
+    bench trace        [--k-min N] [--m N | --marked FILE | --cnf FILE]
+                       [--iterations N | --iter-mult X]
+                       [--seed N] [--out PATH]
+    bench repeat_until_all_found [--k-min N] [--m N] [--reps N]
+                                 [--seed N] [--out PATH]
 
-Experiments: scaling, oracle_stats, crossover, trace,
-repeat_until_all_found.
-CSV goes to --out (or stays in memory); summaries go to stderr.  Exit
-status is 0 on success and 1 with a diagnostic line on any error.
+Each experiment takes only the flags its ``bench.run_*`` function
+reads; a flag it does not read, or two flags that exclude each other,
+is an error.  CSV goes to --out (or stays in memory); summaries go to
+stderr.  Exit status is 0 on success and 1 with a diagnostic line on
+any error.
 """
 
 from __future__ import annotations
@@ -20,26 +29,48 @@ import sys
 from . import bench
 
 
-def _add_common(p: argparse.ArgumentParser, k_min: int, k_max: int,
-                reps: int, m_default: int | None) -> None:
-    p.add_argument("--k-min", type=int, default=k_min,
+def _add_k(p: argparse.ArgumentParser, k_min: int,
+           k_max: int | None = None) -> None:
+    """--k-min, and --k-max when the experiment sweeps a range of sizes."""
+    if k_max is None:
+        p.add_argument("--k-min", type=int, default=k_min, metavar="N",
+                       help=f"register size in qubits (default {k_min})")
+        return
+    p.add_argument("--k-min", type=int, default=k_min, metavar="N",
                    help=f"smallest register size in qubits (default {k_min})")
-    p.add_argument("--k-max", type=int, default=k_max,
+    p.add_argument("--k-max", type=int, default=k_max, metavar="N",
                    help=f"largest register size in qubits (default {k_max})")
-    p.add_argument("--m", type=int, default=m_default,
-                   help="marked-set size; indices are drawn from the seed "
-                        f"(default {m_default})")
-    p.add_argument("--marked", metavar="FILE", default=None,
-                   help="marked-set file: one decimal index per line, "
-                        "'#' starts a comment; uses --k-min as k")
-    p.add_argument("--cnf", metavar="FILE", default=None,
-                   help="DIMACS CNF file; the register size comes from its header")
-    p.add_argument("--reps", type=int, default=reps,
-                   help=f"repetitions (default {reps})")
-    p.add_argument("--seed", type=int, default=0,
+
+
+def _add_marked(p: argparse.ArgumentParser, m_default: int,
+                files: bool = False) -> None:
+    """--m, plus --marked and --cnf when the experiment compiles an oracle
+    that a file can describe; the three exclude each other."""
+    group = p.add_mutually_exclusive_group() if files else p
+    group.add_argument("--m", type=int, metavar="N", dest="marked_count",
+                       help=f"marked-set size (default {m_default})")
+    if files:
+        group.add_argument("--marked", metavar="FILE", dest="marked_path",
+                           help="marked-set file: one decimal index per line, "
+                                "'#' starts a comment; uses --k-min as k")
+        group.add_argument("--cnf", metavar="FILE", dest="cnf_path",
+                           help="DIMACS CNF file; the register size comes "
+                                "from its header")
+
+
+def _add_reps(p: argparse.ArgumentParser, default: int, what: str) -> None:
+    p.add_argument("--reps", type=int, default=default, metavar="N",
+                   dest="repetitions", help=f"{what} (default {default})")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="base seed; derived streams make output reproducible "
                         "(default 0)")
-    p.add_argument("--out", metavar="PATH", default=None,
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", metavar="PATH",
                    help="write the CSV table here (default: no file)")
 
 
@@ -51,44 +82,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling",
                        help="time the Grover loop per k and fit c*k*b^k")
-    _add_common(p, 10, 20, 3, 1)
+    _add_k(p, 10, 20)
+    _add_marked(p, 1)
+    _add_reps(p, 3, "timed runs per k")
+    _add_seed(p)
+    _add_out(p)
 
     p = sub.add_parser("oracle_stats",
                        help="compile oracles and report diagram sizes")
-    _add_common(p, 4, 24, 1, 1)
+    _add_k(p, 4, 24)
+    _add_marked(p, 1, files=True)
+    _add_seed(p)
+    _add_out(p)
 
     p = sub.add_parser("crossover",
                        help="analytic query counts of every strategy per k")
-    _add_common(p, 10, 20, 1, 1)
+    _add_k(p, 10, 20)
+    _add_marked(p, 1)
+    _add_out(p)
 
     p = sub.add_parser("trace",
                        help="per-iteration profile of one run at k = --k-min")
-    _add_common(p, 6, 6, 1, 1)
-    p.add_argument("--iterations", type=int, default=None,
-                   help="explicit iteration count (default: ideal)")
-    p.add_argument("--iter-mult", type=float, default=None,
-                   help="run this multiple of the ideal iteration count")
+    _add_k(p, 6)
+    _add_marked(p, 1, files=True)
+    iterations = p.add_mutually_exclusive_group()
+    iterations.add_argument("--iterations", type=int, metavar="N",
+                            help="explicit iteration count (default: ideal)")
+    iterations.add_argument("--iter-mult", type=float, metavar="X",
+                            dest="iteration_multiplier",
+                            help="run this multiple of the ideal iteration "
+                                 "count")
+    _add_seed(p)
+    _add_out(p)
 
     p = sub.add_parser("repeat_until_all_found",
                        help="repeat runs until every marked item was observed")
-    _add_common(p, 6, 6, 1000, 4)
+    _add_k(p, 6)
+    _add_marked(p, 4)
+    _add_reps(p, 1000, "experiments, each repeating until all are found")
+    _add_seed(p)
+    _add_out(p)
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> bench.ExperimentConfig:
-    return bench.ExperimentConfig(
-        kind=args.experiment,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        marked_count=args.m,
-        marked_path=args.marked,
-        cnf_path=args.cnf,
-        repetitions=args.reps,
-        seed=args.seed,
-        out=args.out,
-        iterations=getattr(args, "iterations", None),
-        iteration_multiplier=getattr(args, "iter_mult", None),
-    )
+    # Every flag's dest is an ExperimentConfig field; a single-size
+    # experiment has no --k-max, so its range is the one size.
+    fields = dict(vars(args))
+    fields["kind"] = fields.pop("experiment")
+    fields.setdefault("k_max", args.k_min)
+    return bench.ExperimentConfig(**fields)
 
 
 def main(argv=None) -> int:

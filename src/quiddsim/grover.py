@@ -11,7 +11,7 @@ Recording the trace allocates no node.  The success probability is an
 inner product of the state with itself masked by the marked-set
 indicator, and the live count walks only the state's nodes beyond the
 run's fixed diagrams (oracle phase, indicator, diffusion), whose own
-nodes are counted once per collection.
+nodes are counted once per run.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gates
-from .oracle import (Oracle, any_marked_index, any_unmarked_index,
-                     apply_oracle, indicator_vector)
+from .oracle import (Oracle, OracleError, _count_marked, any_marked_index,
+                     any_unmarked_index, apply_oracle, indicator_vector)
 from .quidd import QuiddManager
 
 # Nodes a run allocates between two collections of its dead nodes.
@@ -145,10 +145,9 @@ def initialize_state(m: QuiddManager, k: int) -> int:
 
 
 def grover_iterate(m: QuiddManager, oracle: Oracle, state: int,
-                   diffusion_ref: int | None = None) -> int:
-    """One Grover iteration: oracle phases, then inversion about the mean."""
-    if diffusion_ref is None:
-        diffusion_ref = gates.diffusion(m, oracle.k)
+                   diffusion_ref: int) -> int:
+    """One Grover iteration: oracle phases, then inversion about the mean
+    (``diffusion_ref`` is :func:`gates.diffusion` for ``oracle.k``)."""
     return m.matvec(diffusion_ref, apply_oracle(m, oracle, state), oracle.k)
 
 
@@ -198,23 +197,17 @@ def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
     return sampler(m, state, k)(rng)
 
 
-def _fixed_nodes(m: QuiddManager, *roots: int) -> tuple[set, int]:
-    """The nodes of a run's fixed diagrams and how many are internal."""
-    nodes = m.reachable(*roots)
-    return nodes, sum(1 for n in nodes if not m.is_terminal(n))
-
-
 def _stats(m: QuiddManager, t: int, state: int, indicator: int,
            marked_idx: int | None, unmarked_idx: int | None,
-           fixed: tuple[set, int], k: int) -> IterationStats:
+           fixed: set, fixed_internal: int, k: int) -> IterationStats:
     """The trace entry for ``state``; allocates no node.
 
     The success probability is the inner product of the state with
     itself masked by the 0/1 ``indicator``, so the masked state is never
     built.  The live count is the union of the state with the run's
     fixed diagrams (oracle phase, indicator, diffusion): ``fixed`` holds
-    their nodes and internal count, and only the state's nodes beyond
-    them are walked.
+    their nodes, ``fixed_internal`` how many are internal, and only the
+    state's nodes beyond them are walked.
     """
     marked_amp = (m.entry_at(state, marked_idx, k)
                   if marked_idx is not None else None)
@@ -223,8 +216,7 @@ def _stats(m: QuiddManager, t: int, state: int, indicator: int,
     p = m.inner_product(state, state, k, indicator).real
     p = min(max(p, 0.0), 1.0)
     norm_sq = m.inner_product(state, state, k).real
-    fixed_nodes, fixed_internal = fixed
-    live = fixed_internal + m.count_nodes(state, exclude=fixed_nodes).internal
+    live = fixed_internal + m.count_nodes(state, exclude=fixed).internal
     return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq, live)
 
 
@@ -235,16 +227,25 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     uniform) and is flagged ``no_solution``; the default iteration count
     is then 0.
 
+    The oracle's phase vector is recounted first: a terminal other than
+    +/-1, or a count that differs from ``oracle.marked_count``, raises
+    :class:`OracleError` before any iteration.
+
     Between iterations the run frees the nodes it allocated and no longer
-    needs (:meth:`QuiddManager.collect`, floored at the store size when
-    the run starts).  Every ref issued before the run stays valid, and so
-    does the returned ``final_state``; any other ref the run's own calls
-    produced may have been freed or renumbered.
+    needs (:meth:`QuiddManager.collect`, floored at the store size once
+    the run has built its fixed diagrams: diffusion and indicator).
+    Every ref issued before the run stays valid, and so does the
+    returned ``final_state``; any other ref the run's own calls produced
+    may have been freed or renumbered.
     """
     t_start = time.perf_counter_ns()
     if params.k != oracle.k:
         raise ValueError(f"params.k={params.k} but oracle has k={oracle.k}")
     k = oracle.k
+    counted = _count_marked(m, oracle.phase_vector, k)
+    if counted != oracle.marked_count:
+        raise OracleError(f"oracle claims {oracle.marked_count} marked "
+                          f"items but its phase vector marks {counted}")
     n_items = 1 << k
     no_solution = oracle.marked_count == 0
     if params.iterations is not None:
@@ -254,29 +255,29 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     else:
         iterations = optimal_iterations(n_items, oracle.marked_count)
 
-    floor = m.size
-    collected_at = m.nodes_created
+    # The fixed diagrams lie below the floor, so collections never move
+    # them and their node set is taken once.
     diffusion_ref = gates.diffusion(m, k)
     indicator = indicator_vector(m, oracle)
     marked_idx = any_marked_index(m, oracle)
     unmarked_idx = any_unmarked_index(m, oracle)
-    fixed = _fixed_nodes(m, oracle.phase_vector, indicator, diffusion_ref)
+    fixed = m.reachable(oracle.phase_vector, indicator, diffusion_ref)
+    fixed_internal = sum(1 for n in fixed if not m.is_terminal(n))
+    floor = m.size
+    collected_at = m.nodes_created
 
     state = initialize_state(m, k)
     trace = [_stats(m, 0, state, indicator, marked_idx, unmarked_idx,
-                    fixed, k)]
+                    fixed, fixed_internal, k)]
     queries = 0
     loop_start = time.perf_counter_ns()
     for t in range(1, iterations + 1):
         state = grover_iterate(m, oracle, state, diffusion_ref)
         queries += 1
         trace.append(_stats(m, t, state, indicator, marked_idx, unmarked_idx,
-                            fixed, k))
+                            fixed, fixed_internal, k))
         if m.nodes_created - collected_at >= COLLECT_EVERY:
-            floor, (state, indicator, diffusion_ref) = m.collect(
-                floor, (state, indicator, diffusion_ref))
-            fixed = _fixed_nodes(m, oracle.phase_vector, indicator,
-                                 diffusion_ref)
+            floor, (state,) = m.collect(floor, (state,))
             collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,7 +256,86 @@ def test_cli_help_for_every_subcommand(capsys):
     for sub in bench.EXPERIMENTS:
         assert cli.main([sub, "--help"]) == 0
         out = capsys.readouterr().out
-        assert "--seed" in out
+        assert ("--seed" in out) == (sub != "crossover")
+
+
+# The flags each run_* function reads, and nothing else.
+CLI_FLAGS = {
+    "scaling": ["--k-min", "--k-max", "--m", "--reps", "--seed", "--out"],
+    "oracle_stats": ["--k-min", "--k-max", "--m", "--marked", "--cnf",
+                     "--seed", "--out"],
+    "crossover": ["--k-min", "--k-max", "--m", "--out"],
+    "trace": ["--k-min", "--m", "--marked", "--cnf", "--iterations",
+              "--iter-mult", "--seed", "--out"],
+    "repeat_until_all_found": ["--k-min", "--m", "--reps", "--seed", "--out"],
+}
+
+
+def test_cli_help_lists_exactly_the_flags_each_experiment_reads(capsys):
+    assert sum(map(len, CLI_FLAGS.values())) == 30
+    for sub, flags in CLI_FLAGS.items():
+        assert cli.main([sub, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^  (--[\w-]+)", out, re.M) == flags
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    marked = tmp_path / "marked.txt"
+    marked.write_text("1\n2\n")
+    formula = tmp_path / "f.cnf"
+    formula.write_text("p cnf 4 1\n1 -2 0\n")
+    return {"MARKED": str(marked), "CNF": str(formula)}
+
+
+@pytest.mark.parametrize("argv", [
+    # flags the experiment does not read
+    ["scaling", "--k-min", "4", "--k-max", "8", "--marked", "MARKED"],
+    ["scaling", "--k-min", "4", "--k-max", "8", "--cnf", "CNF"],
+    ["oracle_stats", "--reps", "2"],
+    ["crossover", "--marked", "MARKED"],
+    ["crossover", "--cnf", "CNF"],
+    ["crossover", "--reps", "2"],
+    ["crossover", "--seed", "1"],
+    ["trace", "--k-max", "8"],
+    ["trace", "--reps", "2"],
+    ["repeat_until_all_found", "--k-max", "8"],
+    ["repeat_until_all_found", "--marked", "MARKED"],
+    ["repeat_until_all_found", "--cnf", "CNF"],
+    # flags that exclude each other
+    ["oracle_stats", "--m", "2", "--marked", "MARKED"],
+    ["oracle_stats", "--m", "2", "--cnf", "CNF"],
+    ["oracle_stats", "--marked", "MARKED", "--cnf", "CNF"],
+    ["trace", "--m", "2", "--marked", "MARKED"],
+    ["trace", "--m", "2", "--cnf", "CNF"],
+    ["trace", "--marked", "MARKED", "--cnf", "CNF"],
+    ["trace", "--iterations", "3", "--iter-mult", "2"],
+])
+def test_cli_rejects_unread_and_conflicting_flags(capsys, input_files, argv):
+    rc, _, err = run_cli(capsys, [input_files.get(a, a) for a in argv])
+    assert rc == 1
+    # argparse's diagnostic, printed after a usage line, before any run
+    assert err.startswith("usage: bench") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--k-min", "8"],
+    ["repeat_until_all_found", "--k-min", "8", "--reps", "3"],
+])
+def test_cli_single_size_experiments_take_any_k_min(capsys, argv):
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 0, err
+
+
+@pytest.mark.parametrize("fields", [
+    dict(marked_path="m.txt", cnf_path="f.cnf"),
+    dict(marked_count=2, marked_path="m.txt"),
+    dict(marked_count=2, cnf_path="f.cnf"),
+    dict(iterations=3, iteration_multiplier=2.0),
+])
+def test_config_rejects_contradictory_inputs(fields):
+    with pytest.raises(ValueError, match="not both|conflicts"):
+        ExperimentConfig(kind="trace", k_min=4, k_max=4, **fields)
 
 
 def test_cli_rejects_unknown_flags(capsys):

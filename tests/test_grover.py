@@ -102,7 +102,8 @@ def test_initial_state_normalized_to_thirty_qubits(manager):
 def test_iterate_reaches_certainty_at_n4(manager):
     orc = oracle.compile_marked_set(manager, 2, [3])
     state = grover.initialize_state(manager, 2)
-    out = grover.grover_iterate(manager, orc, state)
+    out = grover.grover_iterate(manager, orc, state,
+                                gates.diffusion(manager, 2))
     got = manager.to_dense(out, vector_space(2))
     assert np.max(np.abs(got - np.array([0, 0, 0, 1], dtype=complex))) < 1e-12
 
@@ -110,7 +111,8 @@ def test_iterate_reaches_certainty_at_n4(manager):
 def test_iterate_with_empty_oracle_fixes_uniform(manager):
     orc = oracle.compile_marked_set(manager, 3, [])
     state = grover.initialize_state(manager, 3)
-    out = grover.grover_iterate(manager, orc, state)
+    out = grover.grover_iterate(manager, orc, state,
+                                gates.diffusion(manager, 3))
     assert abs(abs(manager.inner_product(out, state, 3)) - 1) < 1e-9
 
 
@@ -120,10 +122,11 @@ def test_iterate_follows_closed_form(k, marked):
     n, mc = 1 << k, len(marked)
     theta = math.asin(math.sqrt(mc / n))
     orc = oracle.compile_marked_set(m, k, marked)
+    diffusion = gates.diffusion(m, k)
     state = grover.initialize_state(m, k)
     unmarked = next(i for i in range(n) if i not in set(marked))
     for t in range(1, 7):
-        state = grover.grover_iterate(m, orc, state)
+        state = grover.grover_iterate(m, orc, state, diffusion)
         up = math.sin((2 * t + 1) * theta) / math.sqrt(mc)
         down = math.cos((2 * t + 1) * theta) / math.sqrt(n - mc)
         assert abs(m.entry_at(state, marked[0], k) - up) < 1e-9
@@ -171,6 +174,20 @@ def test_run_rejects_mismatched_k(manager):
     orc = oracle.compile_marked_set(manager, 3, [1])
     with pytest.raises(ValueError):
         grover.run(manager, orc, GroverParams(k=4))
+
+
+def test_run_rejects_an_oracle_its_phase_vector_contradicts(manager):
+    # A count the diagram does not hold would size the run wrongly (one
+    # iteration instead of three here); a non +/-1 terminal is no oracle.
+    good = oracle.compile_marked_set(manager, 4, [3])
+    miscounted = oracle.Oracle(good.phase_vector, 4, 5, good.provenance)
+    with pytest.raises(oracle.OracleError, match="claims 5 .* marks 1"):
+        grover.run(manager, miscounted, GroverParams(k=4))
+    phases = manager.from_dense([2, 3, -1, 1], vector_space(2))
+    not_phases = oracle.Oracle(phases, 2, 1,
+                               oracle.Predicate(2, marked=frozenset({2})))
+    with pytest.raises(oracle.OracleError, match="not \\+/-1"):
+        grover.run(manager, not_phases, GroverParams(k=2))
 
 
 def test_run_trace_matches_dense_reference():
