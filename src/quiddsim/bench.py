@@ -209,7 +209,9 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingFit:
 # oracle stats
 
 def run_oracle_stats(cfg: ExperimentConfig) -> list[tuple]:
-    """Compile oracles across the k range and report diagram sizes."""
+    """Compile oracles across the k range and report diagram sizes; an
+    input file gives one oracle, at k_min for a marked-set file and at
+    the header's variable count for a CNF file."""
     rows = []
     if cfg.cnf_path is not None or cfg.marked_path is not None:
         ks = [cfg.k_min]
@@ -246,11 +248,12 @@ def run_crossover(cfg: ExperimentConfig) -> list[tuple]:
 # trace
 
 def run_trace(cfg: ExperimentConfig) -> grover.GroverRun:
-    """One fully traced run at k = k_min; iteration count may be forced
-    or scaled (e.g. 3x the ideal) to expose the periodic success curve."""
-    k = cfg.k_min
+    """One fully traced run at k = k_min, or at the variable count of a
+    CNF file; iteration count may be forced or scaled (e.g. 3x the
+    ideal) to expose the periodic success curve."""
     m = QuiddManager()
-    oracle = _oracle_from_config(m, cfg, k)
+    oracle = _oracle_from_config(m, cfg, cfg.k_min)
+    k = oracle.k
     iterations = cfg.iterations
     if cfg.iteration_multiplier is not None:
         if oracle.marked_count == 0:

@@ -16,9 +16,11 @@ Usage::
 
 Each experiment takes only the flags its ``bench.run_*`` function
 reads; a flag it does not read, or two flags that exclude each other,
-is an error.  CSV goes to --out (or stays in memory); summaries go to
-stderr.  Exit status is 0 on success and 1 with a diagnostic line on
-any error.
+is an error.  An input file fixes what the size flags would set: with
+--cnf the header gives k, so --k-min and --k-max are errors, and with
+--marked, oracle_stats compiles the one set at --k-min, so --k-max is.
+CSV goes to --out (or stays in memory); summaries go to stderr.  Exit
+status is 0 on success and 1 with a diagnostic line on any error.
 """
 
 from __future__ import annotations
@@ -31,14 +33,20 @@ from . import bench
 
 def _add_k(p: argparse.ArgumentParser, k_min: int,
            k_max: int | None = None) -> None:
-    """--k-min, and --k-max when the experiment sweeps a range of sizes."""
+    """--k-min, and --k-max when the experiment sweeps a range of sizes.
+
+    Both parse to None when left out and _config_from fills in the
+    defaults, so a size given beside an input file that fixes it can be
+    told apart from one not given.
+    """
+    p.set_defaults(k_defaults=(k_min, k_max))
     if k_max is None:
-        p.add_argument("--k-min", type=int, default=k_min, metavar="N",
+        p.add_argument("--k-min", type=int, metavar="N",
                        help=f"register size in qubits (default {k_min})")
         return
-    p.add_argument("--k-min", type=int, default=k_min, metavar="N",
+    p.add_argument("--k-min", type=int, metavar="N",
                    help=f"smallest register size in qubits (default {k_min})")
-    p.add_argument("--k-max", type=int, default=k_max, metavar="N",
+    p.add_argument("--k-max", type=int, metavar="N",
                    help=f"largest register size in qubits (default {k_max})")
 
 
@@ -125,18 +133,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread_size_flag(args: argparse.Namespace) -> str | None:
+    """The argparse-style complaint about a size flag that an input file
+    leaves unread: a CNF header fixes the register size, and a file
+    gives one oracle, so there is no range to sweep."""
+    cnf = getattr(args, "cnf_path", None)
+    marked = getattr(args, "marked_path", None)
+    if cnf is not None and args.k_min is not None:
+        return "argument --k-min: not allowed with argument --cnf"
+    if getattr(args, "k_max", None) is not None and (cnf is not None
+                                                       or marked is not None):
+        other = "--cnf" if cnf is not None else "--marked"
+        return f"argument --k-max: not allowed with argument {other}"
+    return None
+
+
 def _config_from(args: argparse.Namespace) -> bench.ExperimentConfig:
-    # Every flag's dest is an ExperimentConfig field; a single-size
-    # experiment has no --k-max, so its range is the one size.
+    # Every flag's dest is an ExperimentConfig field, and k_defaults
+    # holds the sizes left out; a single-size experiment has no --k-max,
+    # so its range is the one size.
     fields = dict(vars(args))
     fields["kind"] = fields.pop("experiment")
-    fields.setdefault("k_max", args.k_min)
+    k_min, k_max = fields.pop("k_defaults")
+    if fields["k_min"] is None:
+        fields["k_min"] = k_min
+    if fields.get("k_max") is None:
+        fields["k_max"] = k_max if k_max is not None else fields["k_min"]
     return bench.ExperimentConfig(**fields)
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        unread = _unread_size_flag(args)
+        if unread is not None:
+            parser.error(f"{args.experiment}: {unread}")
     except SystemExit as exc:
         # argparse has already written help or a diagnostic; fold its
         # exit status into the documented 0-or-1 contract.

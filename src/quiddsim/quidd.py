@@ -495,7 +495,9 @@ class QuiddManager:
         # added to every entry.  Keeping the uniform part symbolic lets a
         # level pass its partial sums upward without rewriting the deep
         # child, so a product against a mostly-constant gate touches each
-        # result node once instead of once per level.
+        # result node once instead of once per level, and it keeps the
+        # uniform partial sums out of the terminal table, which
+        # collection never shrinks.
         value = self._value
         gv, wv = value[g], value[w]
         if gv == 0 or wv == 0:
@@ -507,7 +509,14 @@ class QuiddManager:
         if wv is not None:
             # Constant vector segment: the result is the block's row-sum
             # profile scaled once, and the profile caches per gate node.
-            return self._mul(w, self._rowsum_rec(m, g, k)), 0j
+            # When every row sums the same (the diffusion operator's
+            # diagonal blocks), the product is uniform and goes into the
+            # offset like a constant block's.
+            rs = self._rowsum_rec(m, g, k)
+            rsv = value[rs]
+            if rsv is not None:
+                return self._term(0j), wv * rsv
+            return self._mul(w, rs), 0j
         key = (m, g, w)
         hit = self._mv_memo.get(key)
         if hit is not None:

@@ -310,6 +310,12 @@ def input_files(tmp_path):
     ["trace", "--m", "2", "--cnf", "CNF"],
     ["trace", "--marked", "MARKED", "--cnf", "CNF"],
     ["trace", "--iterations", "3", "--iter-mult", "2"],
+    # size flags an input file leaves unread
+    ["oracle_stats", "--k-min", "12", "--k-max", "14", "--cnf", "CNF"],
+    ["oracle_stats", "--k-min", "4", "--cnf", "CNF"],
+    ["oracle_stats", "--k-max", "14", "--cnf", "CNF"],
+    ["oracle_stats", "--k-min", "4", "--k-max", "9", "--marked", "MARKED"],
+    ["trace", "--k-min", "4", "--cnf", "CNF"],
 ])
 def test_cli_rejects_unread_and_conflicting_flags(capsys, input_files, argv):
     rc, _, err = run_cli(capsys, [input_files.get(a, a) for a in argv])
@@ -325,6 +331,30 @@ def test_cli_rejects_unread_and_conflicting_flags(capsys, input_files, argv):
 def test_cli_single_size_experiments_take_any_k_min(capsys, argv):
     rc, _, err = run_cli(capsys, argv)
     assert rc == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle_stats", "--cnf", "CNF"],
+    ["oracle_stats", "--k-min", "4", "--marked", "MARKED"],
+])
+def test_cli_oracle_stats_compiles_one_oracle_from_a_file(
+        tmp_path, capsys, input_files, argv):
+    out = tmp_path / "o.csv"
+    rc, _, err = run_cli(capsys, [input_files.get(a, a) for a in argv]
+                         + ["--out", str(out)])
+    assert rc == 0, err
+    rows = read_lines(out)[1:]
+    assert len(rows) == 1 and rows[0].startswith("4,")
+
+
+def test_cli_trace_takes_k_from_the_cnf_header(tmp_path, capsys, input_files):
+    # The file has 4 variables; --k-min's default of 6 must not be used.
+    out = tmp_path / "t.csv"
+    rc, _, err = run_cli(capsys, ["trace", "--cnf", input_files["CNF"],
+                                  "--out", str(out)])
+    assert rc == 0, err
+    assert "trace: k=4 M=12 " in err
+    assert read_lines(out)[0] == bench.TRACE_HEADER
 
 
 @pytest.mark.parametrize("fields", [

@@ -212,6 +212,19 @@ def test_norm_conserved_every_iteration_large_k():
             assert abs(stats.norm_sq - 1) < 1e-9
 
 
+def test_full_length_run_keeps_norm_and_closed_form_large_k():
+    # Every iteration of a full k=26 run (6,433 of them): rounding that
+    # builds up over the run would show here long before it changes a
+    # measurement.
+    k = 26
+    _, _, rec = single_marked_run(k, (1 << k) - 3, shots=0)
+    assert rec.iterations == 6433
+    for stats in rec.trace:
+        assert abs(stats.norm_sq - 1) <= 1e-9
+        ideal = grover.ideal_success_probability(stats.t, 1 << k, 1)
+        assert abs(stats.success_prob - ideal) <= 1e-9
+
+
 def test_state_holds_two_amplitude_classes():
     # Marked entries share one value, unmarked another: at most 2 distinct
     # terminals (3 transiently when one class is empty or zero appears).
@@ -334,6 +347,22 @@ def test_collection_bounds_run_memory():
         finally:
             tracemalloc.stop()
     assert peaks[QuiddManager] * 3 <= peaks[NeverFreeManager], peaks
+
+
+def test_run_interns_few_terminals_per_iteration(monkeypatch):
+    # Collecting every 64 allocations leaves the store holding the run's
+    # live diagrams plus every terminal it interned (terminals are never
+    # freed).  Uniform matvec products stay in the symbolic offset, so a
+    # k=20 run adds about 4 terminals per iteration, not the 22 it would
+    # if each product were interned.
+    monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
+    k = 20
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+    fixed = m.size
+    rec = grover.run(m, orc, GroverParams(k=k, shots=0))
+    fixed += rec.peak_live_internal_nodes + grover.COLLECT_EVERY
+    assert m.size <= fixed + 6 * rec.iterations, (m.size, rec.iterations)
 
 
 # ---------------------------------------------------------------------------
