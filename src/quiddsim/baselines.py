@@ -49,17 +49,17 @@ class MarkedSetPredicate:
         return self._sorted[pos] == xs
 
 
-def deterministic_scan(predicate, n_items: int, order=None) -> QueryLedger:
-    """Probe items in a fixed order until the first hit.
+def deterministic_scan(predicate, n_items: int) -> QueryLedger:
+    """Probe items 0, 1, ..., N-1 in order until the first hit.
 
     The ledger's query count is the 1-based position of the first marked
-    item in the order.  With the default order and a predicate exposing
-    ``eval_block``, probing runs in vectorized blocks; the count is the
-    same as for the one-at-a-time loop.
+    item.  With a predicate exposing ``eval_block``, probing runs in
+    vectorized blocks; the count is the same as for the one-at-a-time
+    loop.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    if order is None and hasattr(predicate, "eval_block"):
+    if hasattr(predicate, "eval_block"):
         for start in range(0, n_items, _SCAN_BLOCK):
             stop = min(start + _SCAN_BLOCK, n_items)
             hits = predicate.eval_block(np.arange(start, stop, dtype=np.int64))
@@ -67,13 +67,10 @@ def deterministic_scan(predicate, n_items: int, order=None) -> QueryLedger:
                 j = int(np.argmax(hits))
                 return QueryLedger(start + j + 1, True, start + j)
         return QueryLedger(n_items, False, None)
-    seq = range(n_items) if order is None else order
-    queries = 0
-    for x in seq:
-        queries += 1
+    for x in range(n_items):
         if predicate(x):
-            return QueryLedger(queries, True, x)
-    return QueryLedger(queries, False, None)
+            return QueryLedger(x + 1, True, x)
+    return QueryLedger(n_items, False, None)
 
 
 def _lazy_permutation(n: int, rng: random.Random):

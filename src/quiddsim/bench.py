@@ -145,9 +145,8 @@ class ScalingFit:
 
     ``growth_base`` is the per-qubit multiplier (2**slope) and
     ``constant_ns`` the prefactor, so time ~= constant_ns * k *
-    growth_base**k.  Requires at least 5 distinct k and at least one
-    sample that ran an iteration (a fit over empty loops measures only
-    timer noise).
+    growth_base**k.  Requires at least 5 distinct k, and every sample
+    must have run an iteration (a run with none times only the timer).
     """
 
     samples: tuple[ScalingSample, ...]
@@ -162,9 +161,11 @@ def fit_scaling(samples) -> ScalingFit:
     ks = np.array([s.k for s in samples], dtype=float)
     if len(set(s.k for s in samples)) < 5:
         raise ValueError("scaling fit needs at least 5 distinct k")
-    if not any(s.iterations for s in samples):
+    idle = [s.k for s in samples if s.iterations == 0]
+    if idle:
         raise ValueError("scaling fit needs runs with at least one "
-                         "iteration; every sample ran zero")
+                         "iteration; zero iterations at k="
+                         + ", ".join(map(str, idle)))
     ys = np.log2(np.array([s.median_wall_ns for s in samples]) / ks)
     slope, intercept = np.polyfit(ks, ys, 1)
     residuals = ys - (slope * ks + intercept)

@@ -11,6 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+# Most variables enumerate_models will walk: 2^20 assignments.
+ENUMERATION_VAR_CAP = 20
+
 
 class FormulaError(ValueError):
     """Structurally invalid CNF input."""
@@ -159,11 +162,14 @@ def evaluate_index(formula: CnfFormula, index: int) -> bool:
     return evaluate_bits(formula, bits_from_index(index, formula.num_vars))
 
 
-def enumerate_models(formula: CnfFormula, cap: int = 20) -> list[int]:
-    """All satisfying indices by exhaustive enumeration (test oracle only)."""
-    if formula.num_vars > cap:
-        raise FormulaError(
-            f"enumeration capped at {cap} variables, got {formula.num_vars}")
+def enumerate_models(formula: CnfFormula) -> list[int]:
+    """All satisfying indices by exhaustive enumeration (test oracle only).
+
+    Raises :class:`FormulaError` beyond ``ENUMERATION_VAR_CAP`` variables.
+    """
+    if formula.num_vars > ENUMERATION_VAR_CAP:
+        raise FormulaError(f"enumeration capped at {ENUMERATION_VAR_CAP}"
+                           f" variables, got {formula.num_vars}")
     return [x for x in range(1 << formula.num_vars)
             if evaluate_index(formula, x)]
 
@@ -194,20 +200,19 @@ class PlantedInstance:
                            index_from_bits(self.hidden_bits))
 
 
-def planted_3cnf(num_vars: int, num_clauses: int | None = None,
-                 ratio: float = 4.2, seed: int = 0) -> PlantedInstance:
+def planted_3cnf(num_vars: int, ratio: float = 4.2,
+                 seed: int = 0) -> PlantedInstance:
     """Random 3-CNF drawn uniformly among clauses satisfied by a hidden
     assignment, so the instance is satisfiable by construction.
 
-    With ``num_clauses`` unset the clause count is round(ratio * num_vars),
-    which at the default ratio sits near the hard satisfiability band.
+    The clause count is round(ratio * num_vars), which at the default
+    ratio sits near the hard satisfiability band.
     """
     if num_vars < 3:
         raise FormulaError("planted 3-CNF needs at least 3 variables")
     rng = random.Random(seed)
     hidden = tuple(bool(rng.getrandbits(1)) for _ in range(num_vars))
-    if num_clauses is None:
-        num_clauses = round(ratio * num_vars)
+    num_clauses = round(ratio * num_vars)
     clauses = []
     while len(clauses) < num_clauses:
         c = _random_clause(num_vars, rng)

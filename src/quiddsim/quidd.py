@@ -165,11 +165,11 @@ class QuiddManager:
     unreachable internal nodes above a floor; ``nodes_created`` counts
     every node ever interned, freed ones included.  Live-set sizes are
     measured by reachability from explicit roots via :meth:`count_nodes`.
-    Each computed table is emptied once it holds ``CACHE_LIMIT`` entries;
-    with ``cache_enabled`` off nothing is entered in them.
+    Each computed table is emptied once it holds ``CACHE_LIMIT`` entries.
+    The manager takes no settings.
     """
 
-    def __init__(self, cache_enabled: bool = True):
+    def __init__(self):
         self._var: list[int] = []
         self._low: list[int] = []
         self._high: list[int] = []
@@ -192,7 +192,6 @@ class QuiddManager:
                        self._graft_memo, self._mv_memo, self._vs_memo,
                        self._rs_memo, self._mm_memo, self._ip_memo)
         self._freed = 0         # nodes released by collect()
-        self.cache_enabled = cache_enabled
 
     # ------------------------------------------------------------------
     # construction and inspection
@@ -283,13 +282,11 @@ class QuiddManager:
         """Enter ``r`` under ``key`` in a computed table and return it.
 
         The one eviction rule of every table: a table that holds
-        ``CACHE_LIMIT`` entries is emptied before the insert.  With
-        ``cache_enabled`` off nothing is entered.
+        ``CACHE_LIMIT`` entries is emptied before the insert.
         """
-        if self.cache_enabled:
-            if len(cache) >= CACHE_LIMIT:
-                cache.clear()
-            cache[key] = r
+        if len(cache) >= CACHE_LIMIT:
+            cache.clear()
+        cache[key] = r
         return r
 
     def _cof(self, ref: int, var: int, bit: int) -> int:
@@ -315,10 +312,10 @@ class QuiddManager:
                 "elementwise op between vector and matrix diagrams")
         return rec(a, b)
 
-    # Both ops commute, so an internal pair is keyed in ascending order.
-    # A terminal operand goes to the one-sided walk, keyed (constant,
-    # other); the two key kinds never collide because a pair of internal
-    # nodes never starts with a terminal.
+    # Both ops commute, so every pair is keyed in ascending order.  A
+    # terminal operand runs through the same recursion as an internal one:
+    # its variable sorts after every decision variable, so it is never the
+    # branching side and is passed down whole to both children.
 
     def _add(self, a: int, b: int) -> int:
         value = self._value
@@ -328,12 +325,8 @@ class QuiddManager:
             return b
         if vb == 0:
             return a
-        if va is not None:
-            if vb is not None:
-                return self._term(va + vb)
-            return self._add_const(a, b)
-        if vb is not None:
-            return self._add_const(b, a)
+        if va is not None and vb is not None:
+            return self._term(va + vb)
         key = (a, b) if a <= b else (b, a)
         hit = self._add_memo.get(key)
         if hit is not None:
@@ -344,25 +337,6 @@ class QuiddManager:
         a0, a1 = (low[a], high[a]) if wa == w else (a, a)
         b0, b1 = (low[b], high[b]) if wb == w else (b, b)
         r = self.node(w, self._add(a0, b0), self._add(a1, b1))
-        return self._remember(self._add_memo, key, r)
-
-    def _add_const(self, c: int, x: int) -> int:
-        # One operand is a terminal: walk the other diagram alone.  This is
-        # the inner loop of a matrix-vector multiply, where every level adds
-        # its own constant partial sum into the accumulated result.
-        key = (c, x)
-        hit = self._add_memo.get(key)
-        if hit is not None:
-            return hit
-        value, low, high = self._value, self._low, self._high
-        cv = value[c]
-        lo, hi = low[x], high[x]
-        vlo, vhi = value[lo], value[hi]
-        rlo = (self._term(cv + vlo) if vlo is not None
-               else self._add_const(c, lo))
-        rhi = (self._term(cv + vhi) if vhi is not None
-               else self._add_const(c, hi))
-        r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
         return self._remember(self._add_memo, key, r)
 
     def _mul(self, a: int, b: int) -> int:
@@ -376,12 +350,8 @@ class QuiddManager:
             return b
         if vb == 1:
             return a
-        if va is not None:
-            if vb is not None:
-                return self._term(va * vb)
-            return self._mul_const(a, b)
-        if vb is not None:
-            return self._mul_const(b, a)
+        if va is not None and vb is not None:
+            return self._term(va * vb)
         key = (a, b) if a <= b else (b, a)
         hit = self._mul_memo.get(key)
         if hit is not None:
@@ -392,22 +362,6 @@ class QuiddManager:
         a0, a1 = (low[a], high[a]) if wa == w else (a, a)
         b0, b1 = (low[b], high[b]) if wb == w else (b, b)
         r = self.node(w, self._mul(a0, b0), self._mul(a1, b1))
-        return self._remember(self._mul_memo, key, r)
-
-    def _mul_const(self, c: int, x: int) -> int:
-        key = (c, x)
-        hit = self._mul_memo.get(key)
-        if hit is not None:
-            return hit
-        value, low, high = self._value, self._low, self._high
-        cv = value[c]
-        lo, hi = low[x], high[x]
-        vlo, vhi = value[lo], value[hi]
-        rlo = (self._term(cv * vlo) if vlo is not None
-               else self._mul_const(c, lo))
-        rhi = (self._term(cv * vhi) if vhi is not None
-               else self._mul_const(c, hi))
-        r = rlo if rlo == rhi else self.node(self._var[x], rlo, rhi)
         return self._remember(self._mul_memo, key, r)
 
     @depth_checked
@@ -454,7 +408,7 @@ class QuiddManager:
     def _graft(self, a: int, b: int) -> int:
         va = self._value[a]
         if va is not None:
-            return self.scalar_mul(va, b)
+            return self._mul(a, b)
         key = (a, b)
         hit = self._graft_memo.get(key)
         if hit is not None:
@@ -605,9 +559,9 @@ class QuiddManager:
         value = self._value
         av, bv = value[a], value[b]
         if av == 0 or bv == 0:
-            return self.terminal(0)
+            return self._term(0j)
         if av is not None and bv is not None:
-            return self.terminal(av * bv * (1 << (k - m)))
+            return self._term(av * bv * (1 << (k - m)))
         key = (m, a, b)
         hit = self._mm_memo.get(key)
         if hit is not None:

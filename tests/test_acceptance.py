@@ -292,6 +292,13 @@ def test_criterion_07_walk_success_and_crossover(capfd):
 # ---------------------------------------------------------------------------
 # 8: representation invariants
 
+class NoMemoManager(QuiddManager):
+    """A manager whose computed tables stay empty: nothing is remembered."""
+
+    def _remember(self, cache, key, r):
+        return r
+
+
 def test_criterion_08_canonicity_norm_and_cache_identity(grid, capfd):
     with verdict(8, "dense cross-checks at k<=6, norm 1 +/- 1e-9 on every"
                  " trace row, cache on/off runs identical", capfd) as info:
@@ -344,8 +351,8 @@ def test_criterion_08_canonicity_norm_and_cache_identity(grid, capfd):
         assert worst_norm <= 1e-9, worst_norm
 
         runs = []
-        for cache_enabled in (True, False):
-            m = QuiddManager(cache_enabled=cache_enabled)
+        for cls in (QuiddManager, NoMemoManager):
+            m = cls()
             orc = oracle.compile_marked_set(m, 5, [7, 19])
             runs.append(grover.run(
                 m, orc, grover.GroverParams(k=5, shots=8, seed=3)))

@@ -63,13 +63,6 @@ def test_scan_blocked_and_plain_paths_agree_across_block_boundary():
     assert blocked == plain == QueryLedger(8192, True, 8191)
 
 
-def test_scan_honours_explicit_order():
-    led = deterministic_scan(MarkedSetPredicate([1]), 8, order=[5, 3, 1, 0])
-    assert led == QueryLedger(3, True, 1)
-    led = deterministic_scan(MarkedSetPredicate([7]), 8, order=[5, 3])
-    assert led == QueryLedger(2, False, None)
-
-
 def test_scan_rejects_empty_range():
     with pytest.raises(ValueError):
         deterministic_scan(MarkedSetPredicate([0]), 0)

@@ -62,6 +62,14 @@ def test_scaling_fit_rejects_series_without_iterations():
         bench.fit_scaling(samples)
 
 
+def test_scaling_fit_rejects_any_zero_iteration_sample():
+    samples = [bench.ScalingSample(1, 0, (900,), 900.0, 0)]
+    samples += [bench.ScalingSample(k, 1, (1000 * k,), 1000.0 * k, k)
+                for k in range(2, 6)]
+    with pytest.raises(ValueError, match="zero iterations at k=1$"):
+        bench.fit_scaling(samples)
+
+
 def test_cli_scaling_without_marked_items_fails(capsys):
     rc, _, err = run_cli(capsys, ["scaling", "--k-min", "4", "--k-max", "8",
                                   "--m", "0"])

@@ -165,6 +165,23 @@ def test_apply_matches_dense_elementwise(a, b):
     assert np.max(np.abs(got_mul - a * b)) < 1e-12
 
 
+@pytest.mark.parametrize("op", ["add", "mul"])
+@given(c=amplitudes, x=dense_vectors(3))
+@example(c=0j, x=np.arange(8, dtype=complex))
+@example(c=1 + 0j, x=np.arange(8, dtype=complex))
+def test_apply_with_a_terminal_operand_matches_dense(op, c, x):
+    m = QuiddManager()
+    rx = m.from_dense(x, vector_space(3))
+    rc = m.terminal(c)
+    # apply combines with the grid cell's representative, one Python
+    # complex at a time (numpy's vector multiply may round differently).
+    cv = m.value(rc)
+    dense = [cv + complex(v) if op == "add" else cv * complex(v) for v in x]
+    want = m.from_dense(dense, vector_space(3))
+    assert m.apply(op, rc, rx) == want
+    assert m.apply(op, rx, rc) == want
+
+
 def test_scalar_mul_identity_and_annihilator(manager):
     v = manager.from_dense(np.array([-0.5, 0.5], dtype=complex), vector_space(1))
     assert manager.scalar_mul(1.0, v) == v
@@ -497,9 +514,16 @@ def test_matrix_round_trip(manager):
 # cache behaviour
 
 
+class NoMemoManager(QuiddManager):
+    """A manager whose computed tables stay empty: nothing is remembered."""
+
+    def _remember(self, cache, key, r):
+        return r
+
+
 def test_cache_disabled_gives_identical_references():
-    on = QuiddManager(cache_enabled=True)
-    off = QuiddManager(cache_enabled=False)
+    on = QuiddManager()
+    off = NoMemoManager()
     rng = np.random.default_rng(5)
     v = rng.normal(size=16).astype(complex)
     g = rng.normal(size=(16, 16)).astype(complex)
@@ -512,7 +536,7 @@ def test_cache_disabled_gives_identical_references():
 
 
 def test_cache_disabled_enters_nothing():
-    m = QuiddManager(cache_enabled=False)
+    m = NoMemoManager()
     rng = np.random.default_rng(9)
     a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
@@ -534,7 +558,8 @@ def test_cache_toggle_within_one_manager(manager):
     rv = manager.from_dense(v, vector_space(4))
     rg = manager.from_dense(g, matrix_space(4))
     cached = manager.matvec(rg, rv, 4)
-    manager.cache_enabled = False
+    for memo in manager._memos:
+        memo.clear()
     assert manager.matvec(rg, rv, 4) == cached
 
 
