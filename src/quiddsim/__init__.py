@@ -1,8 +1,10 @@
 """Compressed simulation of Grover search on QuIDD decision diagrams.
 
 The package bundles the diagram kernel (:mod:`quiddsim.quidd`), gate and
-oracle constructors, the Grover engine, a flat numpy reference
-simulator, classical search baselines and a benchmark CLI (``bench``).
+oracle constructors, the Grover engine, classical search baselines and a
+benchmark CLI (``bench``).  Importing it does not import numpy: only
+dense conversion, the vectorised scan and the flat reference simulator
+:mod:`quiddsim.dense` (not imported here) load it, on first use.
 """
 
 from .quidd import (GRID, InvalidAmplitudeError, NodeCount, QuiddError,

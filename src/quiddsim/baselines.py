@@ -8,13 +8,16 @@ its seed.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cnf import CnfFormula, FormulaError, evaluate_bits, is_3cnf
 from .grover import optimal_iterations
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SCAN_BLOCK = 4096
 
@@ -32,16 +35,25 @@ class QueryLedger:
 
 
 class MarkedSetPredicate:
-    """Membership test for an explicit marked set, with vectorized blocks."""
+    """Membership test for an explicit marked set, with vectorized blocks.
+
+    Calls test one index in pure Python; numpy is imported only when
+    :meth:`eval_block` first runs.
+    """
 
     def __init__(self, indices):
         self.indices = frozenset(int(x) for x in indices)
-        self._sorted = np.array(sorted(self.indices), dtype=np.int64)
 
     def __call__(self, x: int) -> bool:
         return x in self.indices
 
+    @functools.cached_property
+    def _sorted(self) -> np.ndarray:
+        import numpy as np
+        return np.array(sorted(self.indices), dtype=np.int64)
+
     def eval_block(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
         if self._sorted.size == 0:
             return np.zeros(len(xs), dtype=bool)
         pos = np.searchsorted(self._sorted, xs)
@@ -60,6 +72,7 @@ def deterministic_scan(predicate, n_items: int) -> QueryLedger:
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
     if hasattr(predicate, "eval_block"):
+        import numpy as np
         for start in range(0, n_items, _SCAN_BLOCK):
             stop = min(start + _SCAN_BLOCK, n_items)
             hits = predicate.eval_block(np.arange(start, stop, dtype=np.int64))

@@ -12,12 +12,11 @@ from the seed except the wall-clock columns (``wall_ns``,
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import grover
 from .baselines import coupon_collector_mean, crossover_table
@@ -158,7 +157,6 @@ class ScalingFit:
 
 def fit_scaling(samples) -> ScalingFit:
     samples = tuple(samples)
-    ks = np.array([s.k for s in samples], dtype=float)
     if len(set(s.k for s in samples)) < 5:
         raise ValueError("scaling fit needs at least 5 distinct k")
     idle = [s.k for s in samples if s.iterations == 0]
@@ -166,13 +164,16 @@ def fit_scaling(samples) -> ScalingFit:
         raise ValueError("scaling fit needs runs with at least one "
                          "iteration; zero iterations at k="
                          + ", ".join(map(str, idle)))
-    ys = np.log2(np.array([s.median_wall_ns for s in samples]) / ks)
-    slope, intercept = np.polyfit(ks, ys, 1)
-    residuals = ys - (slope * ks + intercept)
-    peaks = np.array([s.peak_internal_nodes for s in samples], dtype=float)
-    corr = float(np.corrcoef(ks, peaks)[0, 1])
-    return ScalingFit(samples, float(2.0 ** slope), float(2.0 ** intercept),
-                      tuple(float(r) for r in residuals), corr)
+    ks = [float(s.k) for s in samples]
+    ys = [math.log2(s.median_wall_ns / k) for s, k in zip(samples, ks)]
+    slope, intercept = statistics.linear_regression(ks, ys)
+    residuals = tuple(y - (slope * k + intercept) for k, y in zip(ks, ys))
+    peaks = [float(s.peak_internal_nodes) for s in samples]
+    # Constant peaks have no correlation (nan); statistics would raise.
+    corr = (statistics.correlation(ks, peaks) if len(set(peaks)) > 1
+            else math.nan)
+    return ScalingFit(samples, 2.0 ** slope, 2.0 ** intercept, residuals,
+                      corr)
 
 
 def run_scaling(cfg: ExperimentConfig) -> ScalingFit:

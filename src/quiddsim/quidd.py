@@ -43,8 +43,10 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sorts after every real decision variable, so terminals never win a
 # top-variable comparison.
@@ -793,6 +795,7 @@ class QuiddManager:
 
     def from_dense(self, entries, space: VarSpace) -> int:
         """Build a diagram from a dense numpy array (vector or matrix)."""
+        import numpy as np
         arr = np.asarray(entries, dtype=np.complex128)
         n = 1 << space.k
         if space.kind == "vector":
@@ -833,6 +836,7 @@ class QuiddManager:
         return flat.reshape([2] * (2 * k)).transpose(axes).reshape(1 << k, 1 << k)
 
     def _expand(self, n: int, level: int, space: VarSpace, memo: dict) -> np.ndarray:
+        import numpy as np
         key = (n, level)
         out = memo.get(key)
         if out is not None:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -68,6 +69,48 @@ def test_scaling_fit_rejects_any_zero_iteration_sample():
                 for k in range(2, 6)]
     with pytest.raises(ValueError, match="zero iterations at k=1$"):
         bench.fit_scaling(samples)
+
+
+def numpy_fit(samples):
+    """The fit as np.polyfit and np.corrcoef compute it."""
+    ks = np.array([s.k for s in samples], dtype=float)
+    ys = np.log2(np.array([s.median_wall_ns for s in samples]) / ks)
+    slope, intercept = np.polyfit(ks, ys, 1)
+    peaks = np.array([s.peak_internal_nodes for s in samples], dtype=float)
+    return (2.0 ** slope, 2.0 ** intercept, ys, ys - (slope * ks + intercept),
+            np.corrcoef(ks, peaks)[0, 1])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scaling_fit_matches_numpy(seed):
+    rng = random.Random(seed)
+    k0 = rng.randint(1, 20)
+    ks = sorted(rng.sample(range(k0, k0 + 20), rng.randint(5, 12)))
+    b = rng.uniform(1.2, 1.6)
+    samples = []
+    for k in ks:
+        wall = 1000.0 * k * b ** k * math.exp(rng.gauss(0.0, 0.1))
+        samples.append(bench.ScalingSample(k, rng.randint(1, 100),
+                                           (round(wall),), wall,
+                                           rng.randint(10, 10 ** 6)))
+    fit = bench.fit_scaling(samples)
+    base, const, ys, residuals, corr = numpy_fit(samples)
+    assert fit.growth_base == pytest.approx(base, rel=1e-12, abs=0)
+    assert fit.constant_ns == pytest.approx(const, rel=1e-12, abs=0)
+    assert fit.peak_node_correlation == pytest.approx(corr, rel=1e-12, abs=0)
+    # A residual is a difference of log2 times, so it carries their
+    # rounding: relative to those values, not to itself near zero.
+    scale = 1e-12 * float(np.max(np.abs(ys)))
+    assert fit.residuals == pytest.approx(residuals.tolist(), rel=0, abs=scale)
+
+
+def test_scaling_fit_constant_peaks_have_no_correlation():
+    samples = [bench.ScalingSample(k, 1, (1000 * k,),
+                                   1000.0 * k * 1.4 ** k, 7)
+               for k in range(4, 9)]
+    fit = bench.fit_scaling(samples)
+    assert math.isnan(fit.peak_node_correlation)
+    assert fit.growth_base == pytest.approx(1.4, rel=1e-12)
 
 
 def test_cli_scaling_without_marked_items_fails(capsys):

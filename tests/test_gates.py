@@ -12,12 +12,18 @@ from quiddsim.gates import GateSizeError
 from quiddsim.quidd import QuiddManager, matrix_space, vector_space
 
 
+def dense_power(m, matrix, k):
+    """The k-fold tensor power of a 2x2 array, built through from_dense."""
+    g1 = m.from_dense(matrix, matrix_space(1))
+    g = g1
+    for i in range(1, k):
+        g = m.tensor(g, g1, i)
+    return g
+
+
 def phase_shift_about_zero(m, k):
     """2|0...0><0...0| - I: keeps |0...0>, phase-flips every other state."""
-    p1 = m.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]), matrix_space(1))
-    proj = p1
-    for i in range(1, k):
-        proj = m.tensor(proj, p1, i)
+    proj = dense_power(m, np.array([[1.0, 0.0], [0.0, 0.0]]), k)
     return m.apply("add", m.scalar_mul(2.0, proj),
                    m.scalar_mul(-1.0, gates.identity_gate(m, k)))
 
@@ -58,6 +64,29 @@ def test_identity_gate(manager):
     assert np.array_equal(i1, np.eye(2, dtype=complex))
     v = manager.from_dense(np.arange(32, dtype=complex), vector_space(5))
     assert manager.matvec(gates.identity_gate(manager, 5), v, 5) == v
+
+
+def test_gates_intern_like_the_dense_build():
+    # Same refs, node numbering and terminal values as building each
+    # one-qubit factor from a 2x2 array, in a manager that did that.
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    new, old = QuiddManager(), QuiddManager()
+    for k in range(1, 6):
+        h = gates.hadamard_all(new, k)
+        assert h == dense_power(old, h1, k)
+        assert new.nodes_created == old.nodes_created
+        i = gates.identity_gate(new, k)
+        assert i == dense_power(old, np.eye(2), k)
+        assert new.nodes_created == old.nodes_created
+        assert new.dump(h, i) == old.dump(h, i)
+        assert (new.size, new.count_nodes(h, i)) == \
+            (old.size, old.count_nodes(h, i))
+    # In one manager, the dense build finds the nodes the gates made.
+    for k in range(1, 6):
+        size = new.size
+        assert dense_power(new, h1, k) == gates.hadamard_all(new, k)
+        assert dense_power(new, np.eye(2), k) == gates.identity_gate(new, k)
+        assert new.size == size
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
