@@ -159,7 +159,8 @@ def sampler(m: QuiddManager, state: int,
     its (low mass, total mass) split, so each draw is a single top-down
     pass over the diagram.  A draw takes ``rng.getrandbits(1)`` for each
     skipped variable (an unbiased bit) and one ``rng.random()`` for each
-    branching node.  The state is not modified.
+    branching node.  The state is not modified.  A state that does not
+    fit k qubits raises :class:`SpaceMismatchError`.
     """
     mass = m.subtree_sums(state, k, lambda v: abs(v) ** 2)
     if mass[state] <= 0.0:

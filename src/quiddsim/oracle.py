@@ -159,8 +159,10 @@ def _find_index(m: QuiddManager, ref: int, k: int,
 
     A reduced +/-1 diagram has both phases below every internal node, so
     the low child holds a match unless it is a terminal of the other
-    phase.  Skipped bits are 0.
+    phase.  Skipped bits are 0.  A diagram that does not fit k qubits
+    raises :class:`SpaceMismatchError`.
     """
+    m._check_vector(ref, k)
     x = 0
     cur = ref
     for q in range(k):
@@ -172,7 +174,7 @@ def _find_index(m: QuiddManager, ref: int, k: int,
                 x |= 1
             else:
                 cur = lo
-    if m.is_terminal(cur) and (m.value(cur).real < 0) == want_marked:
+    if (m.value(cur).real < 0) == want_marked:
         return x
     return None
 

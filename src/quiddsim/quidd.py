@@ -3,7 +3,9 @@
 A QuIDD stores a 2^k-entry complex vector, or a 2^k x 2^k matrix, as a
 canonical DAG: internal nodes test one bit of the binary index, sinks hold
 amplitudes.  Every node is interned in a manager, so structural equality is
-reference equality and repeated subarrays are stored exactly once.
+reference equality and repeated subarrays are stored exactly once.  A node
+is its variable, its two children and, for a sink, its value; nothing else
+is stored per node.
 
 Conventions
 -----------
@@ -20,6 +22,14 @@ Conventions
 * Terminal values are interned on a 1e-15 grid per component (``GRID``);
   the first value seen in a grid cell is kept verbatim as the cell
   representative, so amplitudes are never rounded, only deduplicated.
+* Every entry that takes a qubit count or a :class:`VarSpace` checks that
+  its diagrams fit it and raises :class:`SpaceMismatchError` otherwise: a
+  vector may use only row variables below 2*k, a matrix only variables
+  below 2*k, and an elementwise or tensor operation may not pair a
+  diagram that uses column variables with one that does not, unless one
+  of them is a constant.  The checks read the whole diagram, not only
+  the paths a kernel visits, so a mis-sized part under a zero block is
+  caught too.
 
 Node lifetime
 -------------
@@ -163,12 +173,15 @@ class QuiddManager:
     """Interning manager owning the unique table, the terminals and one
     computed table per operation.
 
-    Nodes are integer refs into parallel arrays.  :meth:`collect` frees
-    unreachable internal nodes above a floor; ``nodes_created`` counts
-    every node ever interned, freed ones included.  Live-set sizes are
-    measured by reachability from explicit roots via :meth:`count_nodes`.
-    Each computed table is emptied once it holds ``CACHE_LIMIT`` entries.
-    The manager takes no settings.
+    Nodes are integer refs into four parallel arrays: variable, low
+    child, high child and value (``None`` for internal nodes).
+    :meth:`collect` frees unreachable internal nodes above a floor;
+    ``nodes_created`` counts every node ever interned, freed ones
+    included.  Live-set sizes are measured by reachability from explicit
+    roots via :meth:`count_nodes`.  The space checks derive what they
+    need from the diagram itself (:meth:`_span`), through a computed
+    table like any other.  Each computed table is emptied once it holds
+    ``CACHE_LIMIT`` entries.  The manager takes no settings.
     """
 
     def __init__(self):
@@ -176,8 +189,6 @@ class QuiddManager:
         self._low: list[int] = []
         self._high: list[int] = []
         self._value: list[complex | None] = []
-        self._maxvar: list[int] = []        # -1 for terminals
-        self._hasodd: list[bool] = []       # touches a column variable
         self._unique: dict[tuple[int, int, int], int] = {}
         self._terminals: dict[tuple[int, int], int] = {}
         # One computed table per operation, each bounded by CACHE_LIMIT.
@@ -190,9 +201,11 @@ class QuiddManager:
         self._rs_memo: dict = {}
         self._mm_memo: dict = {}
         self._ip_memo: dict = {}
+        self._span_memo: dict = {}
         self._memos = (self._add_memo, self._mul_memo, self._shift_memo,
                        self._graft_memo, self._mv_memo, self._vs_memo,
-                       self._rs_memo, self._mm_memo, self._ip_memo)
+                       self._rs_memo, self._mm_memo, self._ip_memo,
+                       self._span_memo)
         self._freed = 0         # nodes released by collect()
 
     # ------------------------------------------------------------------
@@ -253,13 +266,6 @@ class QuiddManager:
         self._low.append(low)
         self._high.append(high)
         self._value.append(value)
-        if value is not None:
-            self._maxvar.append(-1)
-            self._hasodd.append(False)
-        else:
-            self._maxvar.append(max(var, self._maxvar[low], self._maxvar[high]))
-            self._hasodd.append(bool(var & 1)
-                                or self._hasodd[low] or self._hasodd[high])
         return ref
 
     def is_terminal(self, ref: int) -> bool:
@@ -309,7 +315,7 @@ class QuiddManager:
         else:
             raise ValueError(f"unknown apply op: {op!r}")
         if (self._value[a] is None and self._value[b] is None
-                and self._hasodd[a] != self._hasodd[b]):
+                and self._span(a)[1] != self._span(b)[1]):
             raise SpaceMismatchError(
                 "elementwise op between vector and matrix diagrams")
         return rec(a, b)
@@ -391,7 +397,7 @@ class QuiddManager:
         if left_qubits < 0:
             raise ValueError("left_qubits must be >= 0")
         if (self._value[a] is None and self._value[b] is None
-                and self._hasodd[a] != self._hasodd[b]):
+                and self._span(a)[1] != self._span(b)[1]):
             raise SpaceMismatchError("tensor operands live in different space kinds")
         return self._graft(a, self._shift(b, 2 * left_qubits))
 
@@ -422,17 +428,34 @@ class QuiddManager:
     # ------------------------------------------------------------------
     # matrix algebra
 
+    def _span(self, ref: int) -> tuple[int, bool]:
+        """(largest variable or -1, any column variable) of a diagram.
+
+        The space checks all read it.  One walk per root, remembered in a
+        computed table, so a diagram checked by several calls is walked
+        once until the table is emptied.
+        """
+        hit = self._span_memo.get(ref)
+        if hit is not None:
+            return hit
+        var, value = self._var, self._value
+        used = [var[n] for n in self.reachable(ref) if value[n] is None]
+        r = max(used, default=-1), any(v & 1 for v in used)
+        return self._remember(self._span_memo, ref, r)
+
     def _check_vector(self, v: int, k: int) -> None:
-        if self._hasodd[v]:
+        top, odd = self._span(v)
+        if odd:
             raise SpaceMismatchError("vector operand uses column variables")
-        if self._maxvar[v] > 2 * (k - 1):
+        if top > 2 * (k - 1):
             raise SpaceMismatchError(
-                f"vector operand exceeds {k} qubits (max var {self._maxvar[v]})")
+                f"vector operand exceeds {k} qubits (max var {top})")
 
     def _check_matrix(self, g: int, k: int) -> None:
-        if self._maxvar[g] > 2 * k - 1:
+        top = self._span(g)[0]
+        if top > 2 * k - 1:
             raise SpaceMismatchError(
-                f"matrix operand exceeds {k} qubits (max var {self._maxvar[g]})")
+                f"matrix operand exceeds {k} qubits (max var {top})")
 
     @depth_checked
     def matvec(self, gate: int, vec: int, k: int) -> int:
@@ -657,6 +680,7 @@ class QuiddManager:
 
     def entry_at(self, vec: int, x: int, k: int) -> complex:
         """Amplitude of basis state ``x`` of a k-qubit vector."""
+        self._check_vector(vec, k)
         if not 0 <= x < (1 << k):
             raise IndexError(f"index {x} out of range for {k} qubits")
         cur = vec
@@ -664,10 +688,7 @@ class QuiddManager:
         for i in range(k):
             if var[cur] == 2 * i:
                 cur = high[cur] if (x >> (k - 1 - i)) & 1 else low[cur]
-        v = self._value[cur]
-        if v is None:
-            raise SpaceMismatchError("diagram is deeper than the given k")
-        return v
+        return self._value[cur]
 
     def subtree_sums(self, root: int, k: int, leaf) -> dict:
         """``leaf(value)`` summed over every entry below each node of a vector.
@@ -680,6 +701,7 @@ class QuiddManager:
         high-child part, in that order.  Walks with an explicit stack,
         so diagram depth is not bounded by the recursion limit.
         """
+        self._check_vector(root, k)
         value, var, low, high = self._value, self._var, self._low, self._high
         sums: dict = {}
         stack = [root]
@@ -772,11 +794,8 @@ class QuiddManager:
         tails = ([var[n] for n in kept],
                  [moved.get(low[n], low[n]) for n in kept],
                  [moved.get(high[n], high[n]) for n in kept],
-                 [value[n] for n in kept],
-                 [self._maxvar[n] for n in kept],
-                 [self._hasodd[n] for n in kept])
-        for lst, tail in zip((var, low, high, value, self._maxvar,
-                              self._hasodd), tails):
+                 [value[n] for n in kept])
+        for lst, tail in zip((var, low, high, value), tails):
             del lst[floor:]
             lst.extend(tail)
         # A terminal's grid key is a function of its stored value, the
@@ -824,7 +843,12 @@ class QuiddManager:
 
     def to_dense(self, ref: int, space: VarSpace) -> np.ndarray:
         """Expand a diagram into a dense numpy array.  Guarded by size caps."""
-        cap = VECTOR_QUBIT_CAP if space.kind == "vector" else MATRIX_QUBIT_CAP
+        if space.kind == "vector":
+            self._check_vector(ref, space.k)
+            cap = VECTOR_QUBIT_CAP
+        else:
+            self._check_matrix(ref, space.k)
+            cap = MATRIX_QUBIT_CAP
         if space.k > cap:
             raise SizeCapError(
                 f"dense expansion of k={space.k} {space.kind} exceeds cap {cap}")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from quiddsim import dense, gates, grover, oracle
 from quiddsim.grover import GroverParams, NoSolutionError
-from quiddsim.quidd import QuiddManager, vector_space
+from quiddsim.quidd import QuiddManager, SpaceMismatchError, vector_space
 
 
 def single_marked_run(k, index, **kw):
@@ -188,6 +188,13 @@ def test_run_rejects_an_oracle_its_phase_vector_contradicts(manager):
                                oracle.Predicate(2, marked=frozenset({2})))
     with pytest.raises(oracle.OracleError, match="not \\+/-1"):
         grover.run(manager, not_phases, GroverParams(k=2))
+
+
+def test_run_rejects_an_oracle_deeper_than_its_k(manager):
+    good = oracle.compile_marked_set(manager, 4, [5])
+    deep = oracle.Oracle(good.phase_vector, 3, 1, good.provenance)
+    with pytest.raises(SpaceMismatchError):
+        grover.run(manager, deep, GroverParams(k=3))
 
 
 def test_run_trace_matches_dense_reference():
@@ -399,6 +406,12 @@ def test_measure_does_not_mutate(manager):
     rng = random.Random(5)
     grover.measure(manager, v, 3, rng)
     assert v == grover.initialize_state(manager, 3)
+
+
+def test_sampler_rejects_a_state_deeper_than_k(manager):
+    v = manager.from_dense(np.arange(16.0) + 1, vector_space(4))
+    with pytest.raises(SpaceMismatchError):
+        grover.sampler(manager, v, 3)
 
 
 def test_measure_rejects_zero_state(manager):

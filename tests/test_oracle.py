@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from quiddsim import cnf, dense, oracle
 from quiddsim.cnf import CnfFormula
 from quiddsim.oracle import OracleError, Predicate
-from quiddsim.quidd import DiagramDepthError, QuiddManager, vector_space
+from quiddsim.quidd import (DiagramDepthError, QuiddManager,
+                             SpaceMismatchError, vector_space)
 
 
 def phase_entries(m, orc):
@@ -264,6 +265,17 @@ def test_any_marked_and_unmarked(manager):
     assert unmarked is not None and unmarked != 9
     full = oracle.compile_marked_set(manager, 3, range(8))
     assert oracle.any_unmarked_index(manager, full) is None
+
+
+def test_index_search_rejects_an_oracle_deeper_than_its_k(manager):
+    # At k = 3 the search for a marked index ends on the node of qubit 3,
+    # and the one for an unmarked index on a terminal; both must refuse.
+    good = oracle.compile_marked_set(manager, 4, [5])
+    deep = oracle.Oracle(good.phase_vector, 3, 1, good.provenance)
+    with pytest.raises(SpaceMismatchError):
+        oracle.any_marked_index(manager, deep)
+    with pytest.raises(SpaceMismatchError):
+        oracle.any_unmarked_index(manager, deep)
 
 
 @given(k=st.integers(1, 8), data=st.data())

@@ -290,6 +290,47 @@ def test_matvec_rejects_oversized_vector(manager):
         manager.matvec(g, v, 1)
 
 
+# Each case breaks a space rule only in a part of one operand that the
+# kernel never reads: the part lies under a zero block of the gate, under
+# a zero of the mask or under a zero of the other operand, where the
+# kernels cut short.  The check reads the whole diagram, so each raises.
+DEEP2 = [1, 1, 2, 3]        # two qubits; deep only in the high half
+EXACT_SPACE_CASES = {
+    "matvec-vector-deep-under-zero-gate-block": lambda m: m.matvec(
+        m.from_dense([[1, 0], [0, 0]], matrix_space(1)),
+        m.from_dense(DEEP2, vector_space(2)), 1),
+    "matvec-gate-deep-under-zero-vector": lambda m: m.matvec(
+        m.from_dense([[1, 1, 1, 2], [1, 1, 3, 4]] * 2, matrix_space(2)),
+        m.from_dense([1, 0], vector_space(1)), 1),
+    "inner_product-deep-under-zero-operand": lambda m: m.inner_product(
+        m.from_dense([1, 0], vector_space(1)),
+        m.from_dense(DEEP2, vector_space(2)), 1),
+    "inner_product-operand-deep-under-zero-mask": lambda m: m.inner_product(
+        m.from_dense(DEEP2, vector_space(2)),
+        m.from_dense(DEEP2, vector_space(2)), 1,
+        m.from_dense([1, 0], vector_space(1))),
+    "inner_product-mask-deep-under-zero-operand": lambda m: m.inner_product(
+        m.from_dense([1, 0], vector_space(1)),
+        m.from_dense([1, 0], vector_space(1)), 1,
+        m.from_dense([1, 1, 0, 1], vector_space(2))),
+    "apply-column-variable-under-zero-operand": lambda m: m.apply(
+        "mul", m.from_dense([0, 1], vector_space(1)),
+        m.from_dense([[1, 2], [3, 3]], matrix_space(1))),
+    # The graft only meets b at a's terminals 0 and 1, which annihilate
+    # and return it whole.
+    "tensor-column-variable-under-zero-and-one": lambda m: m.tensor(
+        m.from_dense([0, 1], vector_space(1)),
+        m.from_dense([[1, 2], [3, 3]], matrix_space(1)), 1),
+}
+
+
+@pytest.mark.parametrize("call", EXACT_SPACE_CASES.values(),
+                         ids=EXACT_SPACE_CASES.keys())
+def test_space_checks_read_parts_the_kernels_skip(manager, call):
+    with pytest.raises(SpaceMismatchError):
+        call(manager)
+
+
 def test_matmat_hadamard_squares_to_identity(manager):
     h = manager.from_dense(
         np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), matrix_space(1))
@@ -418,6 +459,17 @@ def test_entry_at_rejects_bad_index(manager):
         manager.entry_at(v, 4, k=2)     # out of range
 
 
+def test_entry_at_rejects_a_diagram_deeper_than_k_on_every_index(manager):
+    # The paths to x = 0..2 end on a terminal before the deep node; the
+    # vector still does not fit two qubits, as inner_product says.
+    v = manager.from_dense([1, 1, 1, 1, 1, 1, 1, 2], vector_space(3))
+    with pytest.raises(SpaceMismatchError):
+        manager.inner_product(v, v, 2)
+    for x in range(4):
+        with pytest.raises(SpaceMismatchError):
+            manager.entry_at(v, x, k=2)
+
+
 def test_count_nodes_terminal(manager):
     c = manager.count_nodes(manager.terminal(1.0))
     assert (c.internal, c.terminal) == (0, 1)
@@ -500,6 +552,17 @@ def test_to_dense_respects_matrix_cap():
     c = m.terminal(1.0)
     with pytest.raises(SizeCapError):
         m.to_dense(c, matrix_space(13))
+
+
+def test_to_dense_rejects_a_diagram_outside_the_space(manager):
+    v = manager.from_dense(np.arange(8.0), vector_space(3))
+    with pytest.raises(SpaceMismatchError):
+        manager.to_dense(v, vector_space(2))
+    g = manager.from_dense([[1, 2], [3, 4]], matrix_space(1))
+    with pytest.raises(SpaceMismatchError):
+        manager.to_dense(g, vector_space(1))
+    with pytest.raises(SpaceMismatchError):
+        manager.to_dense(manager.tensor(g, g, 1), matrix_space(1))
 
 
 def test_matrix_round_trip(manager):
