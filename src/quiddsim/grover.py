@@ -7,11 +7,11 @@ after every iteration, and samples measurements from the final state
 without mutating it: :func:`sampler` sums the state's subtree masses
 once and then draws any number of shots from them.
 
-Recording the trace allocates no node.  The success probability is an
-inner product of the state with itself masked by the marked-set
-indicator, and the live count walks only the state's nodes beyond the
-run's fixed diagrams (oracle phase, indicator, diffusion), whose own
-nodes are counted once per run.
+Recording the trace allocates no node.  One inner product of the state
+with itself, masked by the marked-set indicator, gives both the success
+probability and the norm, and the live count walks only the state's
+nodes beyond the run's fixed diagrams (oracle phase, indicator,
+diffusion), whose own nodes are counted once per run.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ def _stats(m: QuiddManager, t: int, state: int, indicator: int,
            fixed: set, fixed_internal: int, k: int) -> IterationStats:
     """The trace entry for ``state``; allocates no node.
 
-    The success probability is the inner product of the state with
-    itself masked by the 0/1 ``indicator``, so the masked state is never
+    One inner product of the state with itself, masked by the 0/1
+    ``indicator``, gives the success probability (the masked sum) and
+    the squared norm (the full sum), so the masked state is never
     built.  The live count is the union of the state with the run's
     fixed diagrams (oracle phase, indicator, diffusion): ``fixed`` holds
     their nodes, ``fixed_internal`` how many are internal, and only the
@@ -214,11 +215,10 @@ def _stats(m: QuiddManager, t: int, state: int, indicator: int,
                   if marked_idx is not None else None)
     unmarked_amp = (m.entry_at(state, unmarked_idx, k)
                     if unmarked_idx is not None else None)
-    p = m.inner_product(state, state, k, indicator).real
-    p = min(max(p, 0.0), 1.0)
-    norm_sq = m.inner_product(state, state, k).real
+    p, norm_sq = m.inner_product(state, state, k, indicator)
+    p = min(max(p.real, 0.0), 1.0)
     live = fixed_internal + m.count_nodes(state, exclude=fixed).internal
-    return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq, live)
+    return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq.real, live)
 
 
 def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:

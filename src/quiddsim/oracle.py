@@ -122,6 +122,7 @@ def _clause_indicator(m: QuiddManager, clause) -> int:
     return cur
 
 
+@depth_checked
 def compile_cnf(m: QuiddManager, formula: CnfFormula) -> Oracle:
     """Compile a CNF formula into a phase oracle.
 
@@ -129,8 +130,9 @@ def compile_cnf(m: QuiddManager, formula: CnfFormula) -> Oracle:
     order, then the 0/1 indicator is mapped to +/-1 phases (1 -> -1).
     """
     acc = m.terminal(1)
+    # The indicators use only row variables: no kind check is needed.
     for clause in formula.clauses:
-        acc = m.apply("mul", acc, _clause_indicator(m, clause))
+        acc = m._mul(acc, _clause_indicator(m, clause))
     phase = m.apply("add", m.terminal(1), m.scalar_mul(-2.0, acc))
     return Oracle(phase, formula.num_vars,
                   _count_marked(m, phase, formula.num_vars),

@@ -614,69 +614,62 @@ class QuiddManager:
     # scalar queries
 
     @depth_checked
-    def inner_product(self, u: int, v: int, k: int,
-                      mask: int | None = None) -> complex:
+    def inner_product(self, u: int, v: int, k: int, mask: int | None = None):
         """<u|v> with the left operand conjugated.
 
-        With a 0/1 vector ``mask`` it is <u|diag(mask)|v>, the sum over
-        the entries where the mask is 1, taken without building the
-        masked vectors.  The sum runs in the same order as the unmasked
-        one, so ``inner_product(v, v, k, mask)`` equals
-        ``inner_product(w, w, k)`` for ``w = apply("mul", mask, v)`` bit
-        for bit.  A mask terminal other than exactly 0 or 1 that the walk
-        reaches raises :class:`MaskError`.
+        With a 0/1 vector ``mask`` it returns the pair
+        (<u|diag(mask)|v>, <u|v>) from one walk, without building the
+        masked vectors.  Both are bit-identical to separate walks: the
+        second to ``inner_product(u, v, k)``, and
+        ``inner_product(v, v, k, mask)[0]`` to ``inner_product(w, w, k)``
+        for ``w = apply("mul", mask, v)``.  A mask terminal other than
+        exactly 0 or 1 that the walk reaches raises :class:`MaskError`.
         """
         self._check_vector(u, k)
         self._check_vector(v, k)
         if mask is None:
-            return self._inner_rec(0, u, v, k)
+            return self._inner_rec(0, None, u, v, k)[0]
         self._check_vector(mask, k)
-        return self._masked_inner_rec(0, mask, u, v, k)
+        return self._inner_rec(0, mask, u, v, k)
 
-    def _inner_rec(self, m: int, u: int, v: int, k: int) -> complex:
+    def _inner_rec(self, m: int, mask: int | None, u: int, v: int,
+                   k: int) -> tuple[complex, complex]:
+        # (sum where the mask is 1, sum over all entries); mask None is all
+        # ones.  The mask is read before the operands, so a bad mask
+        # terminal raises even under a zero operand; where it turns 1 it
+        # is dropped and the walk shares the unmasked (m, u, v) entries.
+        # Below an internal mask over two terminals the full sum adds two
+        # equal halves x * 2^j, which is exactly x * 2^(j + 1).
         value = self._value
+        if mask is not None:
+            mv = value[mask]
+            if mv is not None:
+                if mv == 0:
+                    return 0j, self._inner_rec(m, None, u, v, k)[1]
+                if mv != 1:
+                    raise MaskError(f"mask terminal {mv!r} is not 0 or 1")
+                mask = None
         uv, vv = value[u], value[v]
         if uv == 0 or vv == 0:
-            return 0j
-        if uv is not None and vv is not None:
-            return uv.conjugate() * vv * (1 << (k - m))
-        key = (m, u, v)
+            return 0j, 0j
+        if mask is None:
+            if uv is not None and vv is not None:
+                s = uv.conjugate() * vv * (1 << (k - m))
+                return s, s
+            key = (m, u, v)
+        else:
+            key = (m, mask, u, v)
         hit = self._ip_memo.get(key)
         if hit is not None:
             return hit
         w = 2 * m
         cof = self._cof
-        r = (self._inner_rec(m + 1, cof(u, w, 0), cof(v, w, 0), k)
-             + self._inner_rec(m + 1, cof(u, w, 1), cof(v, w, 1), k))
-        return self._remember(self._ip_memo, key, r)
-
-    def _masked_inner_rec(self, m: int, mask: int, u: int, v: int,
-                          k: int) -> complex:
-        # Follows _mul(mask, .) on the way down: where the mask is 1 the
-        # masked vector is the operand itself, so the unmasked kernel takes
-        # over (and shares its table entries); where it is 0 the sum is 0.
-        # Keys (m, mask, u, v) share the table with _inner_rec's (m, u, v).
-        value = self._value
-        mv = value[mask]
-        if mv is not None:
-            if mv == 1:
-                return self._inner_rec(m, u, v, k)
-            if mv == 0:
-                return 0j
-            raise MaskError(f"mask terminal {mv!r} is not 0 or 1")
-        if value[u] == 0 or value[v] == 0:
-            return 0j
-        key = (m, mask, u, v)
-        hit = self._ip_memo.get(key)
-        if hit is not None:
-            return hit
-        w = 2 * m
-        cof = self._cof
-        r = (self._masked_inner_rec(m + 1, cof(mask, w, 0), cof(u, w, 0),
-                                    cof(v, w, 0), k)
-             + self._masked_inner_rec(m + 1, cof(mask, w, 1), cof(u, w, 1),
-                                      cof(v, w, 1), k))
-        return self._remember(self._ip_memo, key, r)
+        mask0 = mask1 = mask
+        if mask is not None:
+            mask0, mask1 = cof(mask, w, 0), cof(mask, w, 1)
+        s0, f0 = self._inner_rec(m + 1, mask0, cof(u, w, 0), cof(v, w, 0), k)
+        s1, f1 = self._inner_rec(m + 1, mask1, cof(u, w, 1), cof(v, w, 1), k)
+        return self._remember(self._ip_memo, key, (s0 + s1, f0 + f1))
 
     def entry_at(self, vec: int, x: int, k: int) -> complex:
         """Amplitude of basis state ``x`` of a k-qubit vector."""

@@ -154,6 +154,22 @@ def test_chain_cnf_compiles_to_a_linear_diagram(manager):
     assert manager.count_nodes(orc.phase_vector).internal == 798
 
 
+def test_compile_cnf_checks_spaces_a_constant_number_of_times(monkeypatch):
+    # The clause indicators use only row variables, so the conjunction
+    # needs no space check per clause.
+    calls = []
+    span = QuiddManager._span
+
+    def counted(self, ref):
+        calls.append(ref)
+        return span(self, ref)
+
+    monkeypatch.setattr(QuiddManager, "_span", counted)
+    orc = oracle.compile_cnf(QuiddManager(), _chain(60))
+    assert orc.marked_count > 0
+    assert len(calls) <= 2
+
+
 def test_too_deep_diagrams_raise_a_typed_error(manager):
     with pytest.raises(DiagramDepthError):
         oracle.compile_cnf(manager, _chain(1200))

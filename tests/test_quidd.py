@@ -399,7 +399,7 @@ def test_masked_inner_product_equals_inner_product_of_masked_vector(case):
     m = QuiddManager()
     ru, rv, rmask = (m.from_dense(np.array(x, dtype=complex), space)
                      for x in (u, v, mask))
-    got = m.inner_product(rv, rv, k, rmask)
+    got = m.inner_product(rv, rv, k, rmask)[0]
     # The masked vector is built in a manager of its own, so no table
     # entry of the masked walk can reach the reference.
     ref = QuiddManager()
@@ -407,11 +407,34 @@ def test_masked_inner_product_equals_inner_product_of_masked_vector(case):
                   ref.from_dense(np.array(v, dtype=complex), space))
     assert got == ref.inner_product(w, w, k)
     want = np.vdot(np.array(u), np.array(mask) * np.array(v))
-    assert abs(m.inner_product(ru, rv, k, rmask) - want) < 1e-12
+    assert abs(m.inner_product(ru, rv, k, rmask)[0] - want) < 1e-12
+
+
+@given(masked_vectors())
+def test_masked_inner_product_returns_the_full_sum_bit_for_bit(case):
+    k, mask, u, v = case
+    space = vector_space(k)
+    # One manager per side, so no table entry is shared between them.
+    m, ref = QuiddManager(), QuiddManager()
+    ru, rv, rmask = (m.from_dense(np.array(x, dtype=complex), space)
+                     for x in (u, v, mask))
+    full = ref.inner_product(ref.from_dense(np.array(u, dtype=complex), space),
+                             ref.from_dense(np.array(v, dtype=complex), space),
+                             k)
+    assert m.inner_product(ru, rv, k, rmask)[1] == full
 
 
 def test_masked_inner_product_rejects_a_mask_that_is_not_zero_one(manager):
     v = manager.from_dense(np.array([0.5, 0.5j]), vector_space(1))
+    mask = manager.from_dense(np.array([1, 0.5]), vector_space(1))
+    with pytest.raises(MaskError):
+        manager.inner_product(v, v, 1, mask)
+
+
+def test_masked_inner_product_reads_the_mask_under_a_zero_operand(manager):
+    # The bad mask terminal lies under the operand's zero entry, where the
+    # walk cuts short; the mask is read first, so it still raises.
+    v = manager.from_dense(np.array([0.5, 0]), vector_space(1))
     mask = manager.from_dense(np.array([1, 0.5]), vector_space(1))
     with pytest.raises(MaskError):
         manager.inner_product(v, v, 1, mask)
