@@ -3,8 +3,9 @@
 
 Each experiment goes through the public ``bench`` command line, so this
 doubles as an end-to-end exercise of the installed entry point.  The
-default ranges reproduce the headline numbers; ``--quick`` shrinks them
-to a smoke test that finishes in a few seconds.
+full run takes the command line's defaults (``bench.READS``), which
+reproduce the headline numbers; ``--quick`` shrinks them to a smoke test
+that finishes in a few seconds.
 """
 
 import argparse
@@ -16,21 +17,21 @@ from quiddsim import cli
 
 
 def experiment_args(quick: bool, seed: int):
-    """(experiment, flags) pairs; crossover is analytic and takes no seed."""
-    scaling_max = "14" if quick else "20"
-    reps = "1" if quick else "3"
-    oracle_max = "12" if quick else "24"
-    cross = ("10", "14") if quick else ("10", "20")
-    repeat_reps = "200" if quick else "1000"
+    """(experiment, flags) pairs.  A full run takes each experiment's
+    default sizes and counts, and ``quick`` lowers them.  The trace runs
+    three times the ideal iteration count, to show the periodic success
+    curve; crossover is analytic and takes no seed."""
     seeded = ["--seed", str(seed)]
+
+    def sizes(*flags):
+        return list(flags) if quick else []
+
     return [
-        ("scaling", ["--k-min", "10", "--k-max", scaling_max,
-                     "--reps", reps, *seeded]),
-        ("oracle_stats", ["--k-min", "4", "--k-max", oracle_max, *seeded]),
-        ("crossover", ["--k-min", cross[0], "--k-max", cross[1]]),
-        ("trace", ["--k-min", "6", "--iter-mult", "3", *seeded]),
-        ("repeat_until_all_found", ["--k-min", "6", "--m", "4",
-                                    "--reps", repeat_reps, *seeded]),
+        ("scaling", [*sizes("--k-max", "14", "--reps", "1"), *seeded]),
+        ("oracle_stats", [*sizes("--k-max", "12"), *seeded]),
+        ("crossover", sizes("--k-max", "14")),
+        ("trace", ["--iter-mult", "3", *seeded]),
+        ("repeat_until_all_found", [*sizes("--reps", "200"), *seeded]),
     ]
 
 

@@ -24,7 +24,22 @@ from .cnf import parse_dimacs, parse_marked_file
 from .oracle import Oracle, compile_cnf, compile_marked_set, oracle_size_report
 from .quidd import QuiddManager
 
-EXPERIMENTS = ("scaling", "oracle_stats", "crossover", "trace", "repeat_until_all_found")
+# The ExperimentConfig fields each experiment reads, in the order of
+# its command-line flags, with their defaults.
+READS = {
+    "scaling": {"k_min": 10, "k_max": 20, "marked_count": 1,
+                "repetitions": 3, "seed": 0, "out": None},
+    "oracle_stats": {"k_min": 4, "k_max": 24, "marked_count": 1,
+                     "marked_path": None, "cnf_path": None, "seed": 0,
+                     "out": None},
+    "crossover": {"k_min": 10, "k_max": 20, "marked_count": 1, "out": None},
+    "trace": {"k_min": 6, "marked_count": 1, "marked_path": None,
+              "cnf_path": None, "iterations": None,
+              "iteration_multiplier": None, "seed": 0, "out": None},
+    "repeat_until_all_found": {"k_min": 6, "marked_count": 4,
+                               "repetitions": 1000, "seed": 0, "out": None},
+}
+EXPERIMENTS = tuple(READS)
 
 SCALING_HEADER = "k,iterations,wall_ns,peak_internal_nodes,seed"
 ORACLE_STATS_HEADER = "k,M,internal_nodes,terminal_nodes,compile_ns"
@@ -40,33 +55,30 @@ REPEAT_ALL_HEADER = "experiment,repetitions"
 class ExperimentConfig:
     """Settings of one experiment; each kind reads only some of them.
 
-    A marked-set file (``marked_path``) and a CNF file (``cnf_path``)
-    each replace the set drawn from ``marked_count``, so at most one of
-    the three may be given; ``iterations`` and ``iteration_multiplier``
+    A field the kind reads and that is left unset takes its default
+    from ``READS``.  A kind without ``k_max`` runs at the one size
+    ``k_min``.  A marked-set file (``marked_path``) and a CNF file
+    (``cnf_path``) each replace the set drawn from ``marked_count``, so
+    at most one of the three may be given, and ``marked_count`` stays
+    unset beside a file; ``iterations`` and ``iteration_multiplier``
     likewise exclude each other.
     """
 
     kind: str
-    k_min: int = 10
-    k_max: int = 20
+    k_min: int | None = None
+    k_max: int | None = None
     marked_count: int | None = None
     marked_path: str | None = None
     cnf_path: str | None = None
-    repetitions: int = 3
-    seed: int = 0
+    repetitions: int | None = None
+    seed: int | None = None
     out: str | None = None
     iterations: int | None = None
     iteration_multiplier: float | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENTS:
+        if self.kind not in READS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError(f"bad k range {self.k_min}..{self.k_max}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.marked_count is not None and self.marked_count < 0:
-            raise ValueError("marked count must be >= 0")
         if self.marked_path is not None and self.cnf_path is not None:
             raise ValueError("give a marked-set file or a CNF file, not both")
         if self.marked_count is not None and (self.marked_path is not None
@@ -76,6 +88,21 @@ class ExperimentConfig:
         if self.iterations is not None and self.iteration_multiplier is not None:
             raise ValueError("give an iteration count or a multiplier, "
                              "not both")
+        reads = READS[self.kind]
+        from_file = "cnf_path" in reads and (self.marked_path is not None
+                                             or self.cnf_path is not None)
+        for name, default in reads.items():
+            if getattr(self, name) is None and not (name == "marked_count"
+                                                    and from_file):
+                setattr(self, name, default)
+        if self.k_max is None:
+            self.k_max = self.k_min
+        if self.k_min < 1 or self.k_max < self.k_min:
+            raise ValueError(f"bad k range {self.k_min}..{self.k_max}")
+        if self.repetitions is not None and self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if self.marked_count is not None and self.marked_count < 0:
+            raise ValueError("marked count must be >= 0")
 
 
 def _fmt(x) -> str:
@@ -122,8 +149,7 @@ def _oracle_from_config(m: QuiddManager, cfg: ExperimentConfig, k: int) -> Oracl
         with open(cfg.marked_path) as fh:
             indices = parse_marked_file(fh.read())
         return compile_marked_set(m, k, indices)
-    count = cfg.marked_count if cfg.marked_count is not None else 1
-    return compile_marked_set(m, k, _marked_for(cfg.seed, k, count))
+    return compile_marked_set(m, k, _marked_for(cfg.seed, k, cfg.marked_count))
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +211,6 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingFit:
     """
     rows = []
     samples = []
-    count = cfg.marked_count if cfg.marked_count is not None else 1
     for k in range(cfg.k_min, cfg.k_max + 1):
         walls = []
         peak = 0
@@ -193,7 +218,8 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingFit:
         for rep in range(cfg.repetitions):
             rep_seed = _derive(cfg.seed, k, rep)
             m = QuiddManager()
-            oracle = compile_marked_set(m, k, _marked_for(rep_seed, k, count))
+            marked = _marked_for(rep_seed, k, cfg.marked_count)
+            oracle = compile_marked_set(m, k, marked)
             record = grover.run(m, oracle,
                                 grover.GroverParams(k=k, seed=rep_seed))
             walls.append(record.loop_ns)
@@ -235,13 +261,13 @@ def run_oracle_stats(cfg: ExperimentConfig) -> list[tuple]:
 # crossover
 
 def run_crossover(cfg: ExperimentConfig) -> list[tuple]:
-    count = cfg.marked_count if cfg.marked_count is not None else 1
     rows = [(r.k, r.n_items, r.marked_count, r.grover_queries,
              r.deterministic_mean_queries,
              r.randomized_without_replacement_mean,
              r.randomized_with_replacement_mean,
              r.schoening_flips_estimate)
-            for r in crossover_table(range(cfg.k_min, cfg.k_max + 1), count)]
+            for r in crossover_table(range(cfg.k_min, cfg.k_max + 1),
+                                     cfg.marked_count)]
     _write_csv(cfg.out, CROSSOVER_HEADER, rows)
     return rows
 
@@ -301,8 +327,7 @@ def run_repeat_all(cfg: ExperimentConfig) -> RepeatAllResult:
     ``exp`` draws once from the shared sampler with
     ``random.Random(_derive(seed, exp, reps))``, exactly the draw a full
     run seeded that way would make."""
-    k = cfg.k_min
-    count = cfg.marked_count if cfg.marked_count is not None else 4
+    k, count = cfg.k_min, cfg.marked_count
     if count < 1:
         raise ValueError("repeat_until_all_found needs at least one marked item")
     marked = _marked_for(cfg.seed, k, count)

@@ -4,23 +4,26 @@ Usage::
 
     bench scaling      [--k-min N] [--k-max N] [--m N] [--reps N]
                        [--seed N] [--out PATH]
-    bench oracle_stats [--k-min N] [--k-max N]
-                       [--m N | --marked FILE | --cnf FILE]
-                       [--seed N] [--out PATH]
+    bench oracle_stats [--k-min N] [--k-max N] [--m N] [--marked FILE]
+                       [--cnf FILE] [--seed N] [--out PATH]
     bench crossover    [--k-min N] [--k-max N] [--m N] [--out PATH]
-    bench trace        [--k-min N] [--m N | --marked FILE | --cnf FILE]
-                       [--iterations N | --iter-mult X]
+    bench trace        [--k-min N] [--m N] [--marked FILE] [--cnf FILE]
+                       [--iterations N] [--iter-mult X]
                        [--seed N] [--out PATH]
     bench repeat_until_all_found [--k-min N] [--m N] [--reps N]
                                  [--seed N] [--out PATH]
 
-Each experiment takes only the flags its ``bench.run_*`` function
-reads; a flag it does not read, or two flags that exclude each other,
-is an error.  An input file fixes what the size flags would set: with
---cnf the header gives k, so --k-min and --k-max are errors, and with
---marked, oracle_stats compiles the one set at --k-min, so --k-max is.
-CSV goes to --out (or stays in memory); summaries go to stderr.  Exit
-status is 0 on success and 1 with a diagnostic line on any error.
+Each experiment takes only the flags of the fields that ``bench.READS``
+lists for it, and a flag left out takes the default that
+``bench.ExperimentConfig`` fills from the same table.  A flag the
+experiment does not read is an error, and so are two flags that
+exclude each other: ``ExperimentConfig`` rejects those, and its reason
+follows a usage line.  An input file fixes what the size flags would
+set: with --cnf the header gives k, so --k-min and --k-max are errors,
+and with --marked, oracle_stats compiles the one set at --k-min, so
+--k-max is.  CSV goes to --out (or stays in memory); summaries go to
+stderr.  Exit status is 0 on success and 1 with a diagnostic line on
+any error.
 """
 
 from __future__ import annotations
@@ -30,56 +33,39 @@ import sys
 
 from . import bench
 
+# Each ExperimentConfig field's flag: (flag, type, metavar, help).  A
+# help text ends with the field's default from bench.READS, if it has one.
+_FLAGS = {
+    "k_min": ("--k-min", int, "N",
+              "register size in qubits; with --k-max, the smallest"),
+    "k_max": ("--k-max", int, "N", "largest register size in qubits"),
+    "marked_count": ("--m", int, "N", "marked-set size"),
+    "marked_path": ("--marked", str, "FILE",
+                    "marked-set file: one decimal index per line, '#' "
+                    "starts a comment; uses --k-min as k"),
+    "cnf_path": ("--cnf", str, "FILE",
+                 "DIMACS CNF file; the register size comes from its header"),
+    "repetitions": ("--reps", int, "N",
+                    "timed runs per k, or experiments that each repeat "
+                    "until all are found"),
+    "iterations": ("--iterations", int, "N",
+                   "explicit iteration count (default: ideal)"),
+    "iteration_multiplier": ("--iter-mult", float, "X",
+                             "run this multiple of the ideal iteration count"),
+    "seed": ("--seed", int, "N",
+             "base seed; derived streams make output reproducible"),
+    "out": ("--out", str, "PATH",
+            "write the CSV table here (default: no file)"),
+}
 
-def _add_k(p: argparse.ArgumentParser, k_min: int,
-           k_max: int | None = None) -> None:
-    """--k-min, and --k-max when the experiment sweeps a range of sizes.
-
-    Both parse to None when left out and _config_from fills in the
-    defaults, so a size given beside an input file that fixes it can be
-    told apart from one not given.
-    """
-    p.set_defaults(k_defaults=(k_min, k_max))
-    if k_max is None:
-        p.add_argument("--k-min", type=int, metavar="N",
-                       help=f"register size in qubits (default {k_min})")
-        return
-    p.add_argument("--k-min", type=int, metavar="N",
-                   help=f"smallest register size in qubits (default {k_min})")
-    p.add_argument("--k-max", type=int, metavar="N",
-                   help=f"largest register size in qubits (default {k_max})")
-
-
-def _add_marked(p: argparse.ArgumentParser, m_default: int,
-                files: bool = False) -> None:
-    """--m, plus --marked and --cnf when the experiment compiles an oracle
-    that a file can describe; the three exclude each other."""
-    group = p.add_mutually_exclusive_group() if files else p
-    group.add_argument("--m", type=int, metavar="N", dest="marked_count",
-                       help=f"marked-set size (default {m_default})")
-    if files:
-        group.add_argument("--marked", metavar="FILE", dest="marked_path",
-                           help="marked-set file: one decimal index per line, "
-                                "'#' starts a comment; uses --k-min as k")
-        group.add_argument("--cnf", metavar="FILE", dest="cnf_path",
-                           help="DIMACS CNF file; the register size comes "
-                                "from its header")
-
-
-def _add_reps(p: argparse.ArgumentParser, default: int, what: str) -> None:
-    p.add_argument("--reps", type=int, default=default, metavar="N",
-                   dest="repetitions", help=f"{what} (default {default})")
-
-
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="base seed; derived streams make output reproducible "
-                        "(default 0)")
-
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="PATH",
-                   help="write the CSV table here (default: no file)")
+_SUMMARIES = {
+    "scaling": "time the Grover loop per k and fit c*k*b^k",
+    "oracle_stats": "compile oracles and report diagram sizes",
+    "crossover": "analytic query counts of every strategy per k",
+    "trace": "per-iteration profile of one run at k = --k-min",
+    "repeat_until_all_found": "repeat runs until every marked item was "
+                              "observed",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,49 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bench",
         description="Benchmark experiments for the compressed Grover simulator.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    p = sub.add_parser("scaling",
-                       help="time the Grover loop per k and fit c*k*b^k")
-    _add_k(p, 10, 20)
-    _add_marked(p, 1)
-    _add_reps(p, 3, "timed runs per k")
-    _add_seed(p)
-    _add_out(p)
-
-    p = sub.add_parser("oracle_stats",
-                       help="compile oracles and report diagram sizes")
-    _add_k(p, 4, 24)
-    _add_marked(p, 1, files=True)
-    _add_seed(p)
-    _add_out(p)
-
-    p = sub.add_parser("crossover",
-                       help="analytic query counts of every strategy per k")
-    _add_k(p, 10, 20)
-    _add_marked(p, 1)
-    _add_out(p)
-
-    p = sub.add_parser("trace",
-                       help="per-iteration profile of one run at k = --k-min")
-    _add_k(p, 6)
-    _add_marked(p, 1, files=True)
-    iterations = p.add_mutually_exclusive_group()
-    iterations.add_argument("--iterations", type=int, metavar="N",
-                            help="explicit iteration count (default: ideal)")
-    iterations.add_argument("--iter-mult", type=float, metavar="X",
-                            dest="iteration_multiplier",
-                            help="run this multiple of the ideal iteration "
-                                 "count")
-    _add_seed(p)
-    _add_out(p)
-
-    p = sub.add_parser("repeat_until_all_found",
-                       help="repeat runs until every marked item was observed")
-    _add_k(p, 6)
-    _add_marked(p, 4)
-    _add_reps(p, 1000, "experiments, each repeating until all are found")
-    _add_seed(p)
-    _add_out(p)
+    for kind, reads in bench.READS.items():
+        p = sub.add_parser(kind, help=_SUMMARIES[kind])
+        # Every flag parses to None when left out, so ExperimentConfig
+        # fills the default and a size given beside an input file that
+        # fixes it can be told apart from one not given.
+        for field, default in reads.items():
+            flag, type_, metavar, text = _FLAGS[field]
+            if default is not None:
+                text += f" (default {default})"
+            p.add_argument(flag, type=type_, metavar=metavar, dest=field,
+                           help=text)
     return parser
 
 
@@ -148,20 +102,6 @@ def _unread_size_flag(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _config_from(args: argparse.Namespace) -> bench.ExperimentConfig:
-    # Every flag's dest is an ExperimentConfig field, and k_defaults
-    # holds the sizes left out; a single-size experiment has no --k-max,
-    # so its range is the one size.
-    fields = dict(vars(args))
-    fields["kind"] = fields.pop("experiment")
-    k_min, k_max = fields.pop("k_defaults")
-    if fields["k_min"] is None:
-        fields["k_min"] = k_min
-    if fields.get("k_max") is None:
-        fields["k_max"] = k_max if k_max is not None else fields["k_min"]
-    return bench.ExperimentConfig(**fields)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -169,12 +109,17 @@ def main(argv=None) -> int:
         unread = _unread_size_flag(args)
         if unread is not None:
             parser.error(f"{args.experiment}: {unread}")
+        fields = vars(args)
+        kind = fields.pop("experiment")
+        try:
+            cfg = bench.ExperimentConfig(kind=kind, **fields)
+        except ValueError as exc:
+            parser.error(f"{kind}: {exc}")
     except SystemExit as exc:
         # argparse has already written help or a diagnostic; fold its
         # exit status into the documented 0-or-1 contract.
         return 0 if not exc.code else 1
     try:
-        cfg = _config_from(args)
         if cfg.kind == "scaling":
             fit = bench.run_scaling(cfg)
             print(f"scaling fit: time ~ {fit.constant_ns:.4g} ns * k * "

@@ -691,29 +691,20 @@ class QuiddManager:
         qubit q; a terminal (q = k) maps to ``leaf`` of its value.  A
         child that skips levels stands for 2^(skipped) equal blocks, so
         its sum is scaled by that count.  Sums are low-child part plus
-        high-child part, in that order.  Walks with an explicit stack,
-        so diagram depth is not bounded by the recursion limit.
+        high-child part, in that order.  A child's ref is below its
+        parent's (``node`` appends, and ``collect`` keeps the order), so
+        one pass in ascending ref order sums every child before its
+        parents, whatever the depth of the diagram.
         """
         self._check_vector(root, k)
         value, var, low, high = self._value, self._var, self._low, self._high
         sums: dict = {}
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if n in sums:
-                stack.pop()
-                continue
+        for n in sorted(self.reachable(root)):
             v = value[n]
             if v is not None:
                 sums[n] = leaf(v)
-                stack.pop()
                 continue
             lo, hi = low[n], high[n]
-            pending = [c for c in (lo, hi) if c not in sums]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
             q = var[n] // 2
             qlo = k if value[lo] is not None else var[lo] // 2
             qhi = k if value[hi] is not None else var[hi] // 2

@@ -25,27 +25,25 @@ from quiddsim.quidd import QuiddManager, matrix_space, vector_space
 def verdict(number, label, cap):
     """Print one pass/fail line for a numbered contract.
 
-    The body stores human-readable evidence in ``info['detail']``; any
-    exception (assertion or otherwise) flips the line to FAIL and is
-    re-raised so pytest still reports the criterion as failed.  ``cap``
-    is the test's capture fixture: suspending it routes the line to the
-    real stdout whatever capture mode the run uses.
+    The body stores human-readable evidence in ``info['detail']``, which
+    the line shows whether the criterion passed or failed; any exception
+    (assertion or otherwise) flips the line to FAIL and is re-raised so
+    pytest still reports the criterion as failed.  ``cap`` is the test's
+    capture fixture: suspending it routes the line to the real stdout
+    whatever capture mode the run uses.
     """
     info = {"detail": ""}
     start = time.perf_counter()
+    status = "FAIL"
     try:
         yield info
-    except BaseException:
+        status = "PASS"
+    finally:
         elapsed = time.perf_counter() - start
+        detail = f" ({info['detail']})" if info["detail"] else ""
         with cap.disabled():
-            print(f"[FAIL] criterion {number:2d}: {label} [{elapsed:.1f}s]",
-                  flush=True)
-        raise
-    elapsed = time.perf_counter() - start
-    detail = f" ({info['detail']})" if info["detail"] else ""
-    with cap.disabled():
-        print(f"[PASS] criterion {number:2d}: {label}{detail}"
-              f" [{elapsed:.1f}s]", flush=True)
+            print(f"[{status}] criterion {number:2d}: {label}{detail}"
+                  f" [{elapsed:.1f}s]", flush=True)
 
 
 # ---------------------------------------------------------------------------

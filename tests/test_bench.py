@@ -419,6 +419,20 @@ def test_config_rejects_contradictory_inputs(fields):
         ExperimentConfig(kind="trace", k_min=4, k_max=4, **fields)
 
 
+@pytest.mark.parametrize("kind, run", [
+    ("oracle_stats", bench.run_oracle_stats),
+    ("crossover", bench.run_crossover),
+    ("trace", bench.run_trace),
+    ("repeat_until_all_found", bench.run_repeat_all),
+])
+def test_library_and_cli_share_defaults(tmp_path, capsys, kind, run):
+    lib, cli_out = tmp_path / "lib.csv", tmp_path / "cli.csv"
+    run(ExperimentConfig(kind=kind, out=str(lib)))
+    rc, _, err = run_cli(capsys, [kind, "--out", str(cli_out)])
+    assert rc == 0, err
+    assert _untimed_rows(lib) == _untimed_rows(cli_out)
+
+
 def test_cli_rejects_unknown_flags(capsys):
     rc, _, err = run_cli(capsys, ["crossover", "--sideways"])
     assert rc == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quiddsim import gates, oracle, quidd
+from quiddsim import gates, grover, oracle, quidd
 from quiddsim.cnf import CnfFormula
 from quiddsim.quidd import (
     GRID,
@@ -42,7 +42,8 @@ def dense_matrices(k):
 
 
 def assert_well_formed(m, ref):
-    """Every reachable node is ordered, reduced, and properly interned."""
+    """Every reachable node is ordered, reduced, and properly interned,
+    and its children's refs are below its own."""
     seen = set()
     stack = [ref]
     while stack:
@@ -54,6 +55,7 @@ def assert_well_formed(m, ref):
             continue
         lo, hi = m.low(r), m.high(r)
         assert lo != hi, "redundant node survived reduction"
+        assert lo < r and hi < r, "child ref above its parent's"
         for child in (lo, hi):
             if not m.is_terminal(child):
                 assert m.var(r) < m.var(child), "ordering violated"
@@ -721,6 +723,16 @@ def test_collect_keeps_roots_and_refs_below_floor():
         # Canonicity: rebuilding the contents finds the renumbered node.
         assert m.from_dense(want, vector_space(k)) == r
         assert_well_formed(m, r)
+
+
+def test_frequently_collected_run_leaves_a_well_formed_state(monkeypatch):
+    monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
+    m = QuiddManager()
+    k = 10
+    rec = grover.run(m, oracle.compile_marked_set(m, k, [3, 700]),
+                     grover.GroverParams(k=k))
+    assert m.nodes_created > m.size      # collections did free nodes
+    assert_well_formed(m, rec.final_state)
 
 
 def test_collect_keeps_terminals_below_the_raised_floor():
