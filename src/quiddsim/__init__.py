@@ -14,9 +14,8 @@ from .gates import GateSizeError, diffusion, hadamard_all, identity_gate
 from .cnf import (CnfFormula, DimacsError, FormulaError, PlantedInstance,
                   enumerate_models, parity_3cnf, parse_dimacs,
                   parse_marked_file, planted_3cnf, random_3cnf, to_dimacs)
-from .oracle import (Oracle, OracleError, OracleSizeReport, Predicate,
-                     apply_oracle, compile_cnf, compile_marked_set,
-                     oracle_size_report)
+from .oracle import (Oracle, OracleError, Predicate, apply_oracle,
+                     compile_cnf, compile_marked_set)
 from .grover import (GroverParams, GroverRun, IterationStats, NoSolutionError,
                      TraceReport, amplitude_trace_report, grover_iterate,
                      ideal_success_probability, initialize_state, measure,

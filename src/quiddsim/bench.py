@@ -16,12 +16,12 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import grover
 from .baselines import coupon_collector_mean, crossover_table
 from .cnf import parse_dimacs, parse_marked_file
-from .oracle import Oracle, compile_cnf, compile_marked_set, oracle_size_report
+from .oracle import Oracle, compile_cnf, compile_marked_set
 from .quidd import QuiddManager
 
 # The ExperimentConfig fields each experiment reads, in the order of
@@ -55,13 +55,15 @@ REPEAT_ALL_HEADER = "experiment,repetitions"
 class ExperimentConfig:
     """Settings of one experiment; each kind reads only some of them.
 
-    A field the kind reads and that is left unset takes its default
-    from ``READS``.  A kind without ``k_max`` runs at the one size
+    A field the kind does not read is an error, except a ``k_max`` equal
+    to ``k_min``.  A field it reads that is left unset takes its default
+    from ``READS``, and a kind without ``k_max`` runs at the one size
     ``k_min``.  A marked-set file (``marked_path``) and a CNF file
-    (``cnf_path``) each replace the set drawn from ``marked_count``, so
-    at most one of the three may be given, and ``marked_count`` stays
-    unset beside a file; ``iterations`` and ``iteration_multiplier``
-    likewise exclude each other.
+    (``cnf_path``) each give one oracle and its marked set, so at most
+    one of them may be given; beside either, ``marked_count`` stays
+    unset and ``k_max`` equals ``k_min``.  A CNF header gives k, so
+    beside a CNF file ``k_min`` and ``k_max`` stay unset.
+    ``iterations`` and ``iteration_multiplier`` exclude each other.
     """
 
     kind: str
@@ -81,23 +83,34 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         if self.marked_path is not None and self.cnf_path is not None:
             raise ValueError("give a marked-set file or a CNF file, not both")
-        if self.marked_count is not None and (self.marked_path is not None
-                                              or self.cnf_path is not None):
-            raise ValueError("a marked count conflicts with an input file, "
-                             "which fixes the marked set")
         if self.iterations is not None and self.iteration_multiplier is not None:
             raise ValueError("give an iteration count or a multiplier, "
                              "not both")
         reads = READS[self.kind]
-        from_file = "cnf_path" in reads and (self.marked_path is not None
-                                             or self.cnf_path is not None)
+        fixed = {}      # field an input file sets -> why it may not be given
+        if "cnf_path" in reads and (self.marked_path is not None
+                                    or self.cnf_path is not None):
+            fixed = {"marked_count": "a marked count conflicts with an input "
+                                     "file, which fixes the marked set",
+                     "k_max": "k_max conflicts with an input file, which "
+                              "gives one oracle"}
+            if self.cnf_path is not None:
+                fixed["k_min"] = ("k_min conflicts with a CNF file, whose "
+                                  "header gives k")
+        for name, value in vars(self).items():
+            if value is None or name == "kind" or (name == "k_max"
+                                                   and value == self.k_min):
+                continue
+            if name in fixed or name not in reads:
+                raise ValueError(fixed.get(name, f"{self.kind} does not read "
+                                                 f"{name}"))
         for name, default in reads.items():
-            if getattr(self, name) is None and not (name == "marked_count"
-                                                    and from_file):
+            if getattr(self, name) is None and name not in fixed:
                 setattr(self, name, default)
         if self.k_max is None:
             self.k_max = self.k_min
-        if self.k_min < 1 or self.k_max < self.k_min:
+        if self.k_min is not None and (self.k_min < 1
+                                       or self.k_max < self.k_min):
             raise ValueError(f"bad k range {self.k_min}..{self.k_max}")
         if self.repetitions is not None and self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -241,18 +254,15 @@ def run_oracle_stats(cfg: ExperimentConfig) -> list[tuple]:
     input file gives one oracle, at k_min for a marked-set file and at
     the header's variable count for a CNF file."""
     rows = []
-    if cfg.cnf_path is not None or cfg.marked_path is not None:
-        ks = [cfg.k_min]
-    else:
-        ks = list(range(cfg.k_min, cfg.k_max + 1))
+    ks = ([cfg.k_min] if cfg.cnf_path is not None
+          else range(cfg.k_min, cfg.k_max + 1))
     for k in ks:
         m = QuiddManager()
         t0 = time.perf_counter_ns()
         oracle = _oracle_from_config(m, cfg, k)
         compile_ns = time.perf_counter_ns() - t0
-        rep = oracle_size_report(m, oracle)
-        rows.append((rep.k, rep.marked_count, rep.internal_nodes,
-                     rep.terminal_nodes, compile_ns))
+        rows.append((oracle.k, oracle.marked_count,
+                     *m.count_nodes(oracle.phase_vector), compile_ns))
     _write_csv(cfg.out, ORACLE_STATS_HEADER, rows)
     return rows
 
@@ -261,13 +271,8 @@ def run_oracle_stats(cfg: ExperimentConfig) -> list[tuple]:
 # crossover
 
 def run_crossover(cfg: ExperimentConfig) -> list[tuple]:
-    rows = [(r.k, r.n_items, r.marked_count, r.grover_queries,
-             r.deterministic_mean_queries,
-             r.randomized_without_replacement_mean,
-             r.randomized_with_replacement_mean,
-             r.schoening_flips_estimate)
-            for r in crossover_table(range(cfg.k_min, cfg.k_max + 1),
-                                     cfg.marked_count)]
+    ks = range(cfg.k_min, cfg.k_max + 1)
+    rows = [astuple(r) for r in crossover_table(ks, cfg.marked_count)]
     _write_csv(cfg.out, CROSSOVER_HEADER, rows)
     return rows
 

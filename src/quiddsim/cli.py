@@ -16,14 +16,13 @@ Usage::
 Each experiment takes only the flags of the fields that ``bench.READS``
 lists for it, and a flag left out takes the default that
 ``bench.ExperimentConfig`` fills from the same table.  A flag the
-experiment does not read is an error, and so are two flags that
-exclude each other: ``ExperimentConfig`` rejects those, and its reason
-follows a usage line.  An input file fixes what the size flags would
-set: with --cnf the header gives k, so --k-min and --k-max are errors,
-and with --marked, oracle_stats compiles the one set at --k-min, so
---k-max is.  CSV goes to --out (or stays in memory); summaries go to
-stderr.  Exit status is 0 on success and 1 with a diagnostic line on
-any error.
+experiment does not read is an error.  The config, not this driver,
+rejects two flags that exclude each other and a size flag that an
+input file fixes (--k-min and --k-max beside --cnf, whose header gives
+k; a --k-max other than --k-min beside --marked, which gives one
+oracle); its reason follows a usage line.  CSV goes to --out (or stays
+in memory); summaries go to stderr.  Exit status is 0 on success and 1
+with a diagnostic line on any error.
 """
 
 from __future__ import annotations
@@ -76,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind, reads in bench.READS.items():
         p = sub.add_parser(kind, help=_SUMMARIES[kind])
         # Every flag parses to None when left out, so ExperimentConfig
-        # fills the default and a size given beside an input file that
-        # fixes it can be told apart from one not given.
+        # fills the default and can tell a given flag from one left out.
         for field, default in reads.items():
             flag, type_, metavar, text = _FLAGS[field]
             if default is not None:
@@ -87,29 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unread_size_flag(args: argparse.Namespace) -> str | None:
-    """The argparse-style complaint about a size flag that an input file
-    leaves unread: a CNF header fixes the register size, and a file
-    gives one oracle, so there is no range to sweep."""
-    cnf = getattr(args, "cnf_path", None)
-    marked = getattr(args, "marked_path", None)
-    if cnf is not None and args.k_min is not None:
-        return "argument --k-min: not allowed with argument --cnf"
-    if getattr(args, "k_max", None) is not None and (cnf is not None
-                                                       or marked is not None):
-        other = "--cnf" if cnf is not None else "--marked"
-        return f"argument --k-max: not allowed with argument {other}"
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        unread = _unread_size_flag(args)
-        if unread is not None:
-            parser.error(f"{args.experiment}: {unread}")
-        fields = vars(args)
+        fields = vars(parser.parse_args(argv))
         kind = fields.pop("experiment")
         try:
             cfg = bench.ExperimentConfig(kind=kind, **fields)

@@ -44,14 +44,6 @@ class Oracle:
     provenance: Predicate
 
 
-@dataclass(frozen=True)
-class OracleSizeReport:
-    k: int
-    marked_count: int
-    internal_nodes: int
-    terminal_nodes: int
-
-
 def _marked_leaf(v: complex) -> int:
     if v == -1:
         return 1
@@ -148,11 +140,6 @@ def indicator_vector(m: QuiddManager, oracle: Oracle) -> int:
     """(1 - phase)/2: the 0/1 membership vector of the marked set."""
     return m.scalar_mul(0.5, m.apply("add", m.terminal(1),
                                      m.scalar_mul(-1.0, oracle.phase_vector)))
-
-
-def oracle_size_report(m: QuiddManager, oracle: Oracle) -> OracleSizeReport:
-    internal, terminal = m.count_nodes(oracle.phase_vector)
-    return OracleSizeReport(oracle.k, oracle.marked_count, internal, terminal)
 
 
 def _find_index(m: QuiddManager, ref: int, k: int,

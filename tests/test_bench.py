@@ -1,5 +1,6 @@
 """Experiment drivers and the bench CLI: CSV contracts and determinism."""
 
+import dataclasses
 import math
 import os
 import random
@@ -174,7 +175,7 @@ def test_oracle_stats_tautology_cnf_compresses_to_constant(tmp_path):
     path = tmp_path / "taut.cnf"
     path.write_text("p cnf 4 0\n")
     rows = bench.run_oracle_stats(ExperimentConfig(
-        kind="oracle_stats", k_min=4, cnf_path=str(path)))
+        kind="oracle_stats", cnf_path=str(path)))
     assert rows == [(4, 16, 0, 1, rows[0][4])]
 
 
@@ -417,6 +418,60 @@ def test_cli_trace_takes_k_from_the_cnf_header(tmp_path, capsys, input_files):
 def test_config_rejects_contradictory_inputs(fields):
     with pytest.raises(ValueError, match="not both|conflicts"):
         ExperimentConfig(kind="trace", k_min=4, k_max=4, **fields)
+
+
+# One value per settable field; each is valid beside every default.
+SAMPLE_FIELDS = dict(k_min=5, k_max=30, marked_count=2,
+                     marked_path="m.txt", cnf_path="f.cnf", repetitions=2,
+                     seed=1, out="o.csv", iterations=3,
+                     iteration_multiplier=2.0)
+
+# The shapes perfbench/workloads.py and the tests above build.
+BUILT_SHAPES = {
+    "scaling": dict(k_min=20, k_max=24, marked_count=1, repetitions=1,
+                    seed=7),
+    "oracle_stats": dict(k_min=4, k_max=10, marked_count=3, seed=8),
+    "crossover": dict(k_min=8, k_max=12, marked_count=2),
+    "trace": dict(k_min=6, k_max=6, marked_count=1, iteration_multiplier=3.0),
+    "repeat_until_all_found": dict(k_min=6, k_max=6, marked_count=4,
+                                   repetitions=50, seed=7),
+}
+
+
+@pytest.mark.parametrize("kind", bench.EXPERIMENTS)
+def test_config_takes_only_the_fields_its_kind_reads(kind):
+    reads = bench.READS[kind]
+    with pytest.raises(ValueError, match="does not read"):
+        ExperimentConfig(kind="crossover", seed=3, repetitions=9,
+                         cnf_path="/nonexistent")
+    for name, value in SAMPLE_FIELDS.items():
+        if name in reads:
+            assert getattr(ExperimentConfig(kind, **{name: value}),
+                           name) == value
+        else:
+            with pytest.raises(ValueError, match=f"{kind} does not read"):
+                ExperimentConfig(kind, **{name: value})
+    files = [f for f in ("marked_path", "cnf_path") if f in reads]
+    for f in files:
+        with pytest.raises(ValueError, match="k_max conflicts"):
+            ExperimentConfig(kind, k_max=6, **{f: "x"})
+    if "cnf_path" in reads:
+        for sizes in (dict(k_min=5), dict(k_min=5, k_max=5)):
+            with pytest.raises(ValueError, match="k_min conflicts"):
+                ExperimentConfig(kind, cnf_path="f.cnf", **sizes)
+        cfg = ExperimentConfig(kind, cnf_path="f.cnf")
+        assert (cfg.k_min, cfg.k_max, cfg.marked_count) == (None, None, None)
+    if "marked_path" in reads:
+        with pytest.raises(ValueError, match="k_max conflicts"):
+            ExperimentConfig(kind, k_min=5, k_max=6, marked_path="m.txt")
+        cfg = ExperimentConfig(kind, k_min=5, k_max=5, marked_path="m.txt")
+        assert (cfg.k_min, cfg.k_max, cfg.marked_count) == (5, 5, None)
+    configs = [ExperimentConfig(kind),
+               ExperimentConfig(kind, **BUILT_SHAPES[kind])]
+    configs += [ExperimentConfig(kind, **{f: "x"}) for f in files]
+    for cfg in configs:
+        rebuilt = dataclasses.replace(cfg, out="x.csv")
+        assert vars(rebuilt) == {**vars(cfg), "out": "x.csv"}
 
 
 @pytest.mark.parametrize("kind, run", [

@@ -248,15 +248,15 @@ def test_indicator_vector(manager):
 
 def test_size_report_single_marked_k16(manager):
     orc = oracle.compile_marked_set(manager, 16, [12345])
-    rep = oracle.oracle_size_report(manager, orc)
-    assert rep.internal_nodes == 16
-    assert rep.terminal_nodes == 2
-    assert (rep.k, rep.marked_count) == (16, 1)
+    internal, terminal = manager.count_nodes(orc.phase_vector)
+    assert internal == 16
+    assert terminal == 2
+    assert (orc.k, orc.marked_count) == (16, 1)
 
 
 def test_size_report_all_marked(manager):
     orc = oracle.compile_marked_set(manager, 6, range(64))
-    assert oracle.oracle_size_report(manager, orc).internal_nodes == 0
+    assert manager.count_nodes(orc.phase_vector).internal == 0
 
 
 def test_dense_random_sets_grow_and_are_recorded():
@@ -269,7 +269,7 @@ def test_dense_random_sets_grow_and_are_recorded():
         while len(marked) < 1 << (k - 1):
             marked.add(rng.randrange(1 << k))
         orc = oracle.compile_marked_set(m, k, marked)
-        sizes.append(oracle.oracle_size_report(m, orc).internal_nodes)
+        sizes.append(m.count_nodes(orc.phase_vector).internal)
     assert sizes == sorted(sizes)
     assert sizes[-1] > sizes[0]
 
