@@ -458,18 +458,27 @@ class QuiddManager:
                 f"matrix operand exceeds {k} qubits (max var {top})")
 
     @depth_checked
-    def matvec(self, gate: int, vec: int, k: int) -> int:
-        """Multiply a matrix diagram into a vector diagram over k qubits."""
+    def matvec(self, gate: int, vec: int, k: int, phase: int | None = None) -> int:
+        """Multiply a matrix diagram into a vector diagram over k qubits.
+
+        With ``phase`` it multiplies into ``apply("mul", phase, vec)``
+        without building it: the walk carries the phase beside the vector.
+        That is bit for bit the built product's result unless the product
+        drops a node the pair keeps, or the walk first fills a product
+        entry's grid cell with another value; then it agrees to rounding."""
         if k < 1:
             raise SpaceMismatchError("k must be >= 1")
         self._check_matrix(gate, k)
         self._check_vector(vec, k)
-        ref, off = self._matvec_rec(0, gate, vec, k)
+        if phase is not None:
+            self._check_vector(phase, k)
+        ref, off = self._matvec_rec(0, gate, vec, phase, k)
         if off == 0:
             return ref
         return self._add(self._term(off), ref)
 
-    def _matvec_rec(self, m: int, g: int, w: int, k: int) -> tuple[int, complex]:
+    def _matvec_rec(self, m: int, g: int, w: int, p: int | None,
+                    k: int) -> tuple[int, complex]:
         # Returns (ref, off) meaning the true block result is ref with off
         # added to every entry.  Keeping the uniform part symbolic lets a
         # level pass its partial sums upward without rewriting the deep
@@ -477,15 +486,18 @@ class QuiddManager:
         # result node once instead of once per level, and it keeps the
         # uniform partial sums out of the terminal table, which
         # collection never shrinks.
+        # Phase block p: folded into w where it turns constant, dropped if 1.
         value = self._value
+        if p is not None and value[p] is not None:
+            w, p = (w if value[p] == 1 else self._mul(p, w)), None
         gv, wv = value[g], value[w]
         if gv == 0 or wv == 0:
             return self._term(0j), 0j
         if gv is not None:
             # Constant block: every row sums the same entries, so the whole
             # result is uniform and lives entirely in the offset.
-            return self._term(0j), gv * self._vecsum_rec(m, w, k)
-        if wv is not None:
+            return self._term(0j), gv * self._vecsum_rec(m, w, p, k)
+        if wv is not None and p is None:
             # Constant vector segment: the result is the block's row-sum
             # profile scaled once, and the profile caches per gate node.
             # When every row sums the same (the diffusion operator's
@@ -496,7 +508,7 @@ class QuiddManager:
             if rsv is not None:
                 return self._term(0j), wv * rsv
             return self._mul(w, rs), 0j
-        key = (m, g, w)
+        key = (m, g, w, p)
         hit = self._mv_memo.get(key)
         if hit is not None:
             return hit
@@ -508,13 +520,14 @@ class QuiddManager:
         g00, g01 = cof(g0, cv, 0), cof(g0, cv, 1)
         g10, g11 = cof(g1, cv, 0), cof(g1, cv, 1)
         w0, w1 = cof(w, rv, 0), cof(w, rv, 1)
+        p0, p1 = (p, p) if p is None else (cof(p, rv, 0), cof(p, rv, 1))
         m1 = m + 1
-        l0, c00 = self._matvec_rec(m1, g00, w0, k)
-        l1, c01 = self._matvec_rec(m1, g01, w1, k)
+        l0, c00 = self._matvec_rec(m1, g00, w0, p0, k)
+        l1, c01 = self._matvec_rec(m1, g01, w1, p1, k)
         lo = self._add(l0, l1)
         lo_off = c00 + c01
-        h0, c10 = self._matvec_rec(m1, g10, w0, k)
-        h1, c11 = self._matvec_rec(m1, g11, w1, k)
+        h0, c10 = self._matvec_rec(m1, g10, w0, p0, k)
+        h1, c11 = self._matvec_rec(m1, g11, w1, p1, k)
         hi = self._add(h0, h1)
         hi_off = c10 + c11
         if lo_off == hi_off:
@@ -533,20 +546,26 @@ class QuiddManager:
         r = (lo if lo == hi else self.node(rv, lo, hi)), off
         return self._remember(self._mv_memo, key, r)
 
-    def _vecsum_rec(self, m: int, w: int, k: int) -> complex:
+    def _vecsum_rec(self, m: int, w: int, p: int | None, k: int) -> complex:
         """Sum of all 2^(k-m) entries of a vector diagram below level m."""
-        wv = self._value[w]
-        if wv is not None:
+        value = self._value
+        if p is not None and value[p] is not None:
+            w, p = (w if value[p] == 1 else self._mul(p, w)), None
+        wv = value[w]
+        if wv is not None and p is None:
             return wv * (1 << (k - m))
-        key = (m, w)
+        key = (m, w, p)
         hit = self._vs_memo.get(key)
         if hit is not None:
             return hit
-        if self._var[w] == 2 * m:
-            r = (self._vecsum_rec(m + 1, self._low[w], k)
-                 + self._vecsum_rec(m + 1, self._high[w], k))
+        rv = 2 * m
+        cof = self._cof
+        p0, p1 = (p, p) if p is None else (cof(p, rv, 0), cof(p, rv, 1))
+        if self._var[w] == rv or p0 != p1:
+            r = (self._vecsum_rec(m + 1, cof(w, rv, 0), p0, k)
+                 + self._vecsum_rec(m + 1, cof(w, rv, 1), p1, k))
         else:
-            r = 2 * self._vecsum_rec(m + 1, w, k)
+            r = 2 * self._vecsum_rec(m + 1, w, p, k)
         return self._remember(self._vs_memo, key, r)
 
     def _rowsum_rec(self, m: int, g: int, k: int) -> int:

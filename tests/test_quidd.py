@@ -292,10 +292,11 @@ def test_matvec_rejects_oversized_vector(manager):
         manager.matvec(g, v, 1)
 
 
-# Each case breaks a space rule only in a part of one operand that the
-# kernel never reads: the part lies under a zero block of the gate, under
-# a zero of the mask or under a zero of the other operand, where the
-# kernels cut short.  The check reads the whole diagram, so each raises.
+# Each case breaks a space rule in one operand, nearly all of them only
+# in a part that the kernel never reads: the part lies under a zero block
+# of the gate, under a zero of the mask or under a zero of the other
+# operand, where the kernels cut short.  The check reads the whole
+# diagram, so each raises.
 DEEP2 = [1, 1, 2, 3]        # two qubits; deep only in the high half
 EXACT_SPACE_CASES = {
     "matvec-vector-deep-under-zero-gate-block": lambda m: m.matvec(
@@ -304,6 +305,18 @@ EXACT_SPACE_CASES = {
     "matvec-gate-deep-under-zero-vector": lambda m: m.matvec(
         m.from_dense([[1, 1, 1, 2], [1, 1, 3, 4]] * 2, matrix_space(2)),
         m.from_dense([1, 0], vector_space(1)), 1),
+    "matvec-phase-deeper-than-k": lambda m: m.matvec(
+        m.from_dense([[1, 0], [0, 1]], matrix_space(1)),
+        m.from_dense([1, 2], vector_space(1)), 1,
+        m.from_dense(DEEP2, vector_space(2))),
+    "matvec-phase-uses-column-variables": lambda m: m.matvec(
+        m.from_dense([[1, 0], [0, 1]], matrix_space(1)),
+        m.from_dense([1, 2], vector_space(1)), 1,
+        m.from_dense([[1, 1], [2, 3]], matrix_space(1))),
+    "matvec-phase-deep-under-zero-gate-block": lambda m: m.matvec(
+        m.from_dense([[1, 0], [0, 0]], matrix_space(1)),
+        m.from_dense([1, 2], vector_space(1)), 1,
+        m.from_dense(DEEP2, vector_space(2))),
     "inner_product-deep-under-zero-operand": lambda m: m.inner_product(
         m.from_dense([1, 0], vector_space(1)),
         m.from_dense(DEEP2, vector_space(2)), 1),
@@ -440,6 +453,127 @@ def test_masked_inner_product_reads_the_mask_under_a_zero_operand(manager):
     mask = manager.from_dense(np.array([1, 0.5]), vector_space(1))
     with pytest.raises(MaskError):
         manager.inner_product(v, v, 1, mask)
+
+
+@st.composite
+def phased_products(draw):
+    """(k, gate kind, dense gate or None, vector, phase) for k <= 4."""
+    k = draw(st.integers(1, 4))
+    n, h = 1 << k, 1 << (k - 1)
+    kind = draw(st.sampled_from(["random", "blocks", "diffusion", "hadamard"]))
+    gate = None
+    if kind == "random":
+        gate = np.array(draw(st.lists(amplitudes, min_size=n * n,
+                                      max_size=n * n))).reshape(n, n)
+    elif kind == "blocks":
+        # Quadrants that are zero, constant or free, so the kernel meets
+        # zero and constant gate blocks at the top level and below.
+        quads = [draw(st.one_of(
+            st.just(np.zeros((h, h))),
+            FEW_AMPLITUDES.map(lambda c: np.full((h, h), c)),
+            st.lists(FEW_AMPLITUDES, min_size=h * h, max_size=h * h).map(
+                lambda xs: np.array(xs).reshape(h, h)))) for _ in range(4)]
+        gate = np.block([quads[:2], quads[2:]])
+    vec = draw(st.lists(st.one_of(FEW_AMPLITUDES, amplitudes),
+                        min_size=n, max_size=n))
+    phase = draw(st.one_of(
+        st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+        st.just([-1] * n),
+        st.lists(st.one_of(st.just(0), FEW_AMPLITUDES, amplitudes),
+                 min_size=n, max_size=n)))
+    return k, kind, gate, vec, phase
+
+
+def build_gate(m, k, kind, gate):
+    if kind == "diffusion":
+        return gates.diffusion(m, k)
+    if kind == "hadamard":
+        return gates.hadamard_all(m, k)
+    return m.from_dense(gate, matrix_space(k))
+
+
+def relabelled_dump(m, root):
+    """``m.dump(root)`` with every id replaced by its post-order rank, so
+    equal diagrams held by two managers give equal dumps."""
+    rank = {}
+
+    def walk(n):
+        if n not in rank:
+            if not m.is_terminal(n):
+                walk(m.low(n))
+                walk(m.high(n))
+            rank[n] = len(rank)
+
+    walk(root)
+    lines = []
+    for line in m.dump(root).splitlines():
+        ref, var, *rest = line.split()
+        if var != "T":
+            rest = [str(rank[int(x)]) for x in rest]
+        lines.append((rank[int(ref)], var, *rest))
+    return sorted(lines)
+
+
+def fused_walk_is_exact(fm, rm, phase, vec, product):
+    """Whether the phase-carrying walk in ``fm`` must match, bit for bit,
+    the walk over ``product = apply("mul", phase, vec)`` built in ``rm``.
+
+    Two things can part them.  The product may reduce a node where the
+    pair (phase block, vector block) still branches under a non-constant
+    phase block, as [1, -1] times [a, -a] does: the built product's walk
+    then takes a shortcut the other does not.  And the walk may make a
+    terminal in the grid cell of a product entry, from another value,
+    before it reaches that entry: the cell then keeps the walk's value.
+    """
+    def kept(var, p, w):
+        if rm.is_terminal(p):
+            return True
+        prod = rm.apply("mul", p, w)
+        ps = (rm.low(p), rm.high(p)) if rm.var(p) == var else (p, p)
+        ws = (rm.low(w), rm.high(w)) if rm.var(w) == var else (w, w)
+        branches = ps[0] != ps[1] or ws[0] != ws[1]
+        return (not rm.is_terminal(prod) and (rm.var(prod) == var) == branches
+                and all(kept(var + 2, a, b) for a, b in zip(ps, ws)))
+
+    return kept(0, phase, vec) and all(
+        repr(fm.value(fm.terminal(rm.value(n)))) == repr(rm.value(n))
+        for n in rm.reachable(product) if rm.is_terminal(n))
+
+
+@given(phased_products())
+@example((2, "diffusion", None, [0.5] * 4, [1, 1, -1, 1]))  # one Grover step
+@example((2, "hadamard", None, [0.5] * 4, [1, 0, 0.3j, 1]))  # constant vector
+@example((1, "blocks", np.array([[0, 0.5], [0, 0]]), [1, 2], [0, -1]))
+def test_matvec_with_phase_matches_matvec_of_the_built_product(case):
+    k, kind, gate, vec, phase = case
+    space = vector_space(k)
+    # One manager per side, so no table entry or terminal made by one
+    # side can reach the other.
+    fm, rm = QuiddManager(), QuiddManager()
+    (fg, fv, fp), (rg, rv, rp) = (
+        (build_gate(m, k, kind, gate),
+         *(m.from_dense(np.array(x, dtype=complex), space) for x in (vec, phase)))
+        for m in (fm, rm))
+    got_ref = fm.matvec(fg, fv, k, phase=fp)
+    product = rm.apply("mul", rp, rv)
+    want_ref = rm.matvec(rg, product, k)
+    got, want = fm.to_dense(got_ref, space), rm.to_dense(want_ref, space)
+    if fused_walk_is_exact(fm, rm, rp, rv, product):
+        assert got.tobytes() == want.tobytes()
+        assert relabelled_dump(fm, got_ref) == relabelled_dump(rm, want_ref)
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@given(phased_products())
+def test_matvec_with_an_all_plus_one_phase_is_plain_matvec(case):
+    k, kind, gate, vec, _ = case
+    space = vector_space(k)
+    m = QuiddManager()
+    rg = build_gate(m, k, kind, gate)
+    rv = m.from_dense(np.array(vec, dtype=complex), space)
+    ones = m.from_dense(np.ones(1 << k), space)
+    assert m.matvec(rg, rv, k, phase=ones) == m.matvec(rg, rv, k)
 
 
 # ---------------------------------------------------------------------------

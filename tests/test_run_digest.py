@@ -14,7 +14,7 @@ from quiddsim import grover
 RUN_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "run_digest.py"
 
 RECORDS = "1eef2d0ed7ef73e2a70bdb1f0dff2abc966a2348d302638721c1f905efc8972e"
-NODES = "db04af8d0d730141c3842154cbcca4e3cde651dcee60d6179da30ed0a9ccb772"
+NODES = "65c3da11f3e55c8866bcc6953cb9d2e1a8f074438bed73da4a04f68d0722a205"
 
 
 def test_run_digest_at_the_default_collection_setting():
