@@ -10,7 +10,9 @@ For each collection setting (the default ``COLLECT_EVERY`` and 64) it
 prints two digests: one over every run's ``comparable()`` record, one
 over every manager's ``(nodes_created, size)`` after its run.  Equal
 digests on two versions of the code mean bit-identical results and the
-same node numbering.  Usage::
+same node numbering.  A run ends with a collection, so both digests must
+also be equal at the two settings; the script exits 1 when they are
+not.  Usage::
 
     PYTHONPATH=src python scripts/run_digest.py
 """
@@ -57,6 +59,7 @@ def digests():
 
 def main() -> int:
     default = grover.COLLECT_EVERY
+    seen = set()
     for every in (default, 64):
         grover.COLLECT_EVERY = every
         try:
@@ -66,6 +69,10 @@ def main() -> int:
         print(f"COLLECT_EVERY={every}: {count} runs")
         print(f"  comparable()          {records}")
         print(f"  (nodes_created, size) {nodes}", flush=True)
+        seen.add((records, nodes))
+    if len(seen) > 1:
+        print("digests differ between the collection settings")
+        return 1
     return 0
 
 

@@ -2,19 +2,19 @@
 
 All gates are matrix diagrams over the interleaved row/column variable
 order.  H on every qubit and the identity are tensor powers of a
-one-qubit factor that is interned node by node, with no dense array.
-The inversion-about-mean operator is built directly from its closed
-form (2/2^k off the diagonal, 2/2^k - 1 on it) rather than by composing
-Hadamard sandwiches.  The composed construction, and the
-phase shift about zero that it needs, live only in the tests, as a
-cross-check.
+one-qubit factor, built in one pass over the qubits with no dense array
+and no general tensor product.  The inversion-about-mean operator is
+built directly from its closed form (2/2^k off the diagonal, 2/2^k - 1
+on it) rather than by composing Hadamard sandwiches.  The composed
+construction, and the phase shift about zero that it needs, live only
+in the tests, as a dense cross-check.
 """
 
 from __future__ import annotations
 
 import math
 
-from .quidd import QuiddError, QuiddManager
+from .quidd import QuiddError, QuiddManager, depth_checked
 
 
 class GateSizeError(QuiddError):
@@ -26,21 +26,41 @@ def _check_k(k: int) -> None:
         raise GateSizeError(f"gates need at least one qubit, got {k}")
 
 
+@depth_checked
 def _power(m: QuiddManager, k: int, m00, m01, m10, m11) -> int:
     """The k-fold tensor power of the 2x2 matrix [[m00, m01], [m10, m11]].
 
-    The one-qubit factor is interned in the order ``from_dense`` would
-    use (row variable 0 above column variable 1), so refs and node
-    counts are those of the dense build.
+    Each entry is the product of its k factors in qubit order, and every
+    partial product is interned as a terminal, a qubit at a time.  One
+    recursion level per qubit, so a k too deep for the recursion limit
+    raises :class:`DiagramDepthError`.
     """
     _check_k(k)
-    row0 = m.node(1, m.terminal(m00), m.terminal(m01))
-    row1 = m.node(1, m.terminal(m10), m.terminal(m11))
-    g1 = m.node(0, row0, row1)
-    g = g1
-    for i in range(1, k):
-        g = m.tensor(g, g1, i)
-    return g
+    factor = tuple(m.terminal(z) for z in (m00, m01, m10, m11))
+    return _blocks(m, 0, k, factor, (None,))[None]
+
+
+def _blocks(m: QuiddManager, q: int, k: int, factor: tuple,
+            prefixes) -> dict:
+    """Map each partial product over qubits 0..q-1 (a terminal ref, or
+    None for the empty product) to its block over qubits q..k-1: the
+    power of ``factor`` over those qubits, scaled by the prefix.
+
+    ``prefixes`` are distinct and in order of first appearance, and the
+    products over qubit q are interned in that order, prefix by prefix.
+    """
+    if q == k:
+        return {p: p for p in prefixes}
+    value = m.value
+    kids = {p: factor if p is None else
+            tuple(m.terminal(value(p) * value(f)) for f in factor)
+            for p in prefixes}
+    below = _blocks(m, q + 1, k, factor,
+                    dict.fromkeys(c for cs in kids.values() for c in cs))
+    row, col = 2 * q, 2 * q + 1
+    return {p: m.node(row, m.node(col, below[a], below[b]),
+                      m.node(col, below[c], below[d]))
+            for p, (a, b, c, d) in kids.items()}
 
 
 def hadamard_all(m: QuiddManager, k: int) -> int:
@@ -61,7 +81,6 @@ def diffusion(m: QuiddManager, k: int) -> int:
     in k no matter how large the register is.
     """
     _check_k(k)
-    off = 2.0 / (1 << k)
+    off = math.ldexp(2.0, -k)
     return m.apply("add", m.terminal(off),
                    m.scalar_mul(-1.0, identity_gate(m, k)))
-

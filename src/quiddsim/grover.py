@@ -20,7 +20,7 @@ import math
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import gates
 # perfbench/workloads.py patches grover.apply_oracle, so the name stays.
@@ -119,18 +119,10 @@ class GroverRun:
     wall_ns: int
 
     def comparable(self) -> dict:
-        """All fields that must be bit-identical across reruns."""
-        return {
-            "params": self.params,
-            "k": self.k,
-            "marked_count": self.marked_count,
-            "iterations": self.iterations,
-            "queries": self.queries,
-            "no_solution": self.no_solution,
-            "trace": self.trace,
-            "measurements": self.measurements,
-            "peak_live_internal_nodes": self.peak_live_internal_nodes,
-        }
+        """All fields that must be bit-identical across reruns: every
+        field but the final state's ref and the wall-clock times."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("final_state", "loop_ns", "wall_ns")}
 
 
 def initialize_state(m: QuiddManager, k: int) -> int:
@@ -233,9 +225,13 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     +/-1, or a count that differs from ``oracle.marked_count``, raises
     :class:`OracleError` before any iteration.
 
-    Between iterations the run frees the nodes it allocated and no longer
-    needs (:meth:`QuiddManager.collect`, floored at the store size once
-    the run has built its fixed diagrams: diffusion and indicator).
+    Between iterations, once ``COLLECT_EVERY`` nodes have been created
+    since the last collection, and once more after the last iteration,
+    the run frees the nodes it allocated and no longer needs
+    (:meth:`QuiddManager.collect`, floored at the store size once the
+    run has built its fixed diagrams: diffusion and indicator).  So a
+    run adds to the manager only its fixed diagrams, the terminals it
+    interned and the final state, whatever the collection setting.
     Every ref issued before the run stays valid, and so does the
     returned ``final_state``; any other ref the run's own calls produced
     may have been freed or renumbered.
@@ -282,6 +278,7 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
             floor, (state,) = m.collect(floor, (state,))
             collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
+    _, (state,) = m.collect(floor, (state,))
 
     measurements = ()
     if params.shots:

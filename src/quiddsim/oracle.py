@@ -9,6 +9,7 @@ which stays exact for any k because it never enumerates indices.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -68,10 +69,14 @@ def compile_marked_set(m: QuiddManager, k: int, indices) -> Oracle:
 
     Cost is O(|indices| * k); a single marked index always compiles to a
     diagram with exactly k internal nodes, one per qubit on the path.
+    An index that is not an integer raises :class:`OracleError`.
     """
     if k < 1:
         raise OracleError(f"oracles need at least one qubit, got {k}")
-    idx = sorted(set(int(x) for x in indices))
+    try:
+        idx = sorted({operator.index(x) for x in indices})
+    except TypeError as e:
+        raise OracleError(f"marked indices must be integers: {e}") from None
     if idx and not (0 <= idx[0] and idx[-1] < (1 << k)):
         bad = idx[0] if idx[0] < 0 else idx[-1]
         raise OracleError(f"marked index {bad} out of range for {k} qubits")

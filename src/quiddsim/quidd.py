@@ -25,9 +25,9 @@ Conventions
 * Every entry that takes a qubit count or a :class:`VarSpace` checks that
   its diagrams fit it and raises :class:`SpaceMismatchError` otherwise: a
   vector may use only row variables below 2*k, a matrix only variables
-  below 2*k, and an elementwise or tensor operation may not pair a
-  diagram that uses column variables with one that does not, unless one
-  of them is a constant.  The checks read the whole diagram, not only
+  below 2*k, and an elementwise operation may not pair a diagram that
+  uses column variables with one that does not, unless one of them is a
+  constant.  The checks read the whole diagram, not only
   the paths a kernel visits, so a mis-sized part under a zero block is
   caught too.
 
@@ -194,17 +194,13 @@ class QuiddManager:
         # One computed table per operation, each bounded by CACHE_LIMIT.
         self._add_memo: dict = {}
         self._mul_memo: dict = {}
-        self._shift_memo: dict = {}
-        self._graft_memo: dict = {}
         self._mv_memo: dict = {}
         self._vs_memo: dict = {}
         self._rs_memo: dict = {}
-        self._mm_memo: dict = {}
         self._ip_memo: dict = {}
         self._span_memo: dict = {}
-        self._memos = (self._add_memo, self._mul_memo, self._shift_memo,
-                       self._graft_memo, self._mv_memo, self._vs_memo,
-                       self._rs_memo, self._mm_memo, self._ip_memo,
+        self._memos = (self._add_memo, self._mul_memo, self._mv_memo,
+                       self._vs_memo, self._rs_memo, self._ip_memo,
                        self._span_memo)
         self._freed = 0         # nodes released by collect()
 
@@ -384,48 +380,6 @@ class QuiddManager:
         return self._mul(self.terminal(z), a)
 
     # ------------------------------------------------------------------
-    # tensor product
-
-    @depth_checked
-    def tensor(self, a: int, b: int, left_qubits: int) -> int:
-        """Tensor product with ``a`` on the ``left_qubits`` high-order qubits.
-
-        ``b`` is re-indexed below ``a``'s qubits and grafted onto ``a``'s
-        terminals.  Works for vectors and matrices alike because both use
-        a variable offset of 2 per qubit.
-        """
-        if left_qubits < 0:
-            raise ValueError("left_qubits must be >= 0")
-        if (self._value[a] is None and self._value[b] is None
-                and self._span(a)[1] != self._span(b)[1]):
-            raise SpaceMismatchError("tensor operands live in different space kinds")
-        return self._graft(a, self._shift(b, 2 * left_qubits))
-
-    def _shift(self, b: int, delta: int) -> int:
-        if delta == 0 or self._value[b] is not None:
-            return b
-        key = (b, delta)
-        hit = self._shift_memo.get(key)
-        if hit is not None:
-            return hit
-        r = self.node(self._var[b] + delta,
-                      self._shift(self._low[b], delta),
-                      self._shift(self._high[b], delta))
-        return self._remember(self._shift_memo, key, r)
-
-    def _graft(self, a: int, b: int) -> int:
-        va = self._value[a]
-        if va is not None:
-            return self._mul(a, b)
-        key = (a, b)
-        hit = self._graft_memo.get(key)
-        if hit is not None:
-            return hit
-        r = self.node(self._var[a], self._graft(self._low[a], b),
-                      self._graft(self._high[a], b))
-        return self._remember(self._graft_memo, key, r)
-
-    # ------------------------------------------------------------------
     # matrix algebra
 
     def _span(self, ref: int) -> tuple[int, bool]:
@@ -589,45 +543,6 @@ class QuiddManager:
                        self._rowsum_rec(m1, cof(g1, cv, 1), k))
         r = self.node(rv, lo, hi)
         return self._remember(self._rs_memo, key, r)
-
-    @depth_checked
-    def matmat(self, a: int, b: int, k: int) -> int:
-        """Matrix product of two k-qubit matrix diagrams."""
-        if k < 1:
-            raise SpaceMismatchError("k must be >= 1")
-        self._check_matrix(a, k)
-        self._check_matrix(b, k)
-        return self._matmat_rec(0, a, b, k)
-
-    def _matmat_rec(self, m: int, a: int, b: int, k: int) -> int:
-        value = self._value
-        av, bv = value[a], value[b]
-        if av == 0 or bv == 0:
-            return self._term(0j)
-        if av is not None and bv is not None:
-            return self._term(av * bv * (1 << (k - m)))
-        key = (m, a, b)
-        hit = self._mm_memo.get(key)
-        if hit is not None:
-            return hit
-        rv = 2 * m
-        cv = rv + 1
-        cof = self._cof
-        a0, a1 = cof(a, rv, 0), cof(a, rv, 1)
-        a00, a01 = cof(a0, cv, 0), cof(a0, cv, 1)
-        a10, a11 = cof(a1, cv, 0), cof(a1, cv, 1)
-        b0, b1 = cof(b, rv, 0), cof(b, rv, 1)
-        b00, b01 = cof(b0, cv, 0), cof(b0, cv, 1)
-        b10, b11 = cof(b1, cv, 0), cof(b1, cv, 1)
-        m1 = m + 1
-        add = self._add
-        mm = self._matmat_rec
-        c00 = add(mm(m1, a00, b00, k), mm(m1, a01, b10, k))
-        c01 = add(mm(m1, a00, b01, k), mm(m1, a01, b11, k))
-        c10 = add(mm(m1, a10, b00, k), mm(m1, a11, b10, k))
-        c11 = add(mm(m1, a10, b01, k), mm(m1, a11, b11, k))
-        r = self.node(rv, self.node(cv, c00, c01), self.node(cv, c10, c11))
-        return self._remember(self._mm_memo, key, r)
 
     # ------------------------------------------------------------------
     # scalar queries

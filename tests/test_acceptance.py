@@ -317,15 +317,11 @@ def test_criterion_08_canonicity_norm_and_cache_identity(grid, capfd):
                 (m.to_dense(m.apply("mul", ra, rb), vs), a * b),
                 (m.to_dense(m.scalar_mul(0.5 - 2j, ra), vs), (0.5 - 2j) * a),
                 (m.to_dense(m.matvec(rm, ra, k), vs), mat @ a),
+                (m.to_dense(gates.hadamard_all(m, k), ms),
+                 dense.hadamard_matrix(k)),
+                (m.to_dense(gates.diffusion(m, k), ms),
+                 dense.diffusion_matrix(k)),
             ]
-            if k <= 4:
-                rm2 = m.from_dense(mat.T, ms)
-                checks.append((m.to_dense(m.matmat(rm, rm2, k), ms),
-                               mat @ mat.T))
-            if 2 <= k <= 5:
-                big = m.tensor(ra, m.from_dense(b[:2], vector_space(1)), k)
-                checks.append((m.to_dense(big, vector_space(k + 1)),
-                               np.kron(a, b[:2])))
             for got, want in checks:
                 worst_dense = max(worst_dense,
                                   float(np.max(np.abs(got - want))))

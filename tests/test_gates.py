@@ -1,5 +1,6 @@
 """Gate construction: Hadamard powers, phase shift, diffusion."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,16 +10,13 @@ from hypothesis import strategies as st
 
 from quiddsim import dense, gates
 from quiddsim.gates import GateSizeError
-from quiddsim.quidd import QuiddManager, matrix_space, vector_space
+from quiddsim.quidd import QuiddError, QuiddManager, matrix_space, vector_space
 
 
 def dense_power(m, matrix, k):
     """The k-fold tensor power of a 2x2 array, built through from_dense."""
-    g1 = m.from_dense(matrix, matrix_space(1))
-    g = g1
-    for i in range(1, k):
-        g = m.tensor(g, g1, i)
-    return g
+    return m.from_dense(functools.reduce(np.kron, [matrix] * k),
+                        matrix_space(k))
 
 
 def phase_shift_about_zero(m, k):
@@ -66,27 +64,37 @@ def test_identity_gate(manager):
     assert manager.matvec(gates.identity_gate(manager, 5), v, 5) == v
 
 
+def qubit_order_products(f, k):
+    """Entry (r, c) of the k-fold power of the 2x2 list ``f``: its k
+    factors multiplied as Python complex numbers, in qubit order."""
+    n = 1 << k
+    out = np.empty((n, n), dtype=complex)
+    for r in range(n):
+        for c in range(n):
+            z = None
+            for s in range(k - 1, -1, -1):
+                x = f[(r >> s) & 1][(c >> s) & 1]
+                z = x if z is None else z * x
+            out[r, c] = z
+    return out
+
+
 def test_gates_intern_like_the_dense_build():
-    # Same refs, node numbering and terminal values as building each
-    # one-qubit factor from a 2x2 array, in a manager that did that.
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    new, old = QuiddManager(), QuiddManager()
-    for k in range(1, 6):
-        h = gates.hadamard_all(new, k)
-        assert h == dense_power(old, h1, k)
-        assert new.nodes_created == old.nodes_created
-        i = gates.identity_gate(new, k)
-        assert i == dense_power(old, np.eye(2), k)
-        assert new.nodes_created == old.nodes_created
-        assert new.dump(h, i) == old.dump(h, i)
-        assert (new.size, new.count_nodes(h, i)) == \
-            (old.size, old.count_nodes(h, i))
-    # In one manager, the dense build finds the nodes the gates made.
-    for k in range(1, 6):
-        size = new.size
-        assert dense_power(new, h1, k) == gates.hadamard_all(new, k)
-        assert dense_power(new, np.eye(2), k) == gates.identity_gate(new, k)
-        assert new.size == size
+    # Terminals equal the qubit-order products exactly (a zero's sign
+    # is its grid cell's), and a dense build in the same manager finds
+    # every node the gates made.
+    h = 1.0 / math.sqrt(2.0)
+    h1 = [[complex(h), complex(h)], [complex(h), complex(-h)]]
+    m = QuiddManager()
+    for k in range(1, 7):
+        g = gates.hadamard_all(m, k)
+        assert np.array_equal(m.to_dense(g, matrix_space(k)),
+                              qubit_order_products(h1, k))
+        i = gates.identity_gate(m, k)
+        size = m.size
+        assert dense_power(m, np.array(h1), k) == g
+        assert dense_power(m, np.eye(2), k) == i
+        assert m.size == size
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
@@ -150,18 +158,19 @@ def test_diffusion_closed_form_entries(manager, k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_diffusion_is_self_inverse(manager, k):
-    d = gates.diffusion(manager, k)
-    dd = manager.to_dense(manager.matmat(d, d, k), matrix_space(k))
-    assert np.max(np.abs(dd - np.eye(1 << k))) < 1e-10
+    d = manager.to_dense(gates.diffusion(manager, k), matrix_space(k))
+    assert np.max(np.abs(d @ d - np.eye(1 << k))) < 1e-10
 
 
 def test_diffusion_equals_hadamard_sandwich(manager):
-    # Composed H (2|0><0|-I) H meets the direct construction at the same node.
+    # H (2|0><0|-I) H, composed on dense arrays, is the direct
+    # construction up to the dense products' round-off.
     for k in (1, 2, 3, 5):
-        h = gates.hadamard_all(manager, k)
-        p = phase_shift_about_zero(manager, k)
-        composed = manager.matmat(h, manager.matmat(p, h, k), k)
-        assert composed == gates.diffusion(manager, k)
+        ms = matrix_space(k)
+        h = manager.to_dense(gates.hadamard_all(manager, k), ms)
+        p = manager.to_dense(phase_shift_about_zero(manager, k), ms)
+        d = manager.to_dense(gates.diffusion(manager, k), ms)
+        assert np.max(np.abs(h @ p @ h - d)) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -186,9 +195,11 @@ def test_gates_preserve_norm(k, seed):
 
 
 def test_hadamard_self_inverse_by_reference(manager):
+    # H H, multiplied on dense arrays, is the identity gate's node.
     for k in (1, 2, 4):
-        h = gates.hadamard_all(manager, k)
-        assert manager.matmat(h, h, k) == gates.identity_gate(manager, k)
+        h = manager.to_dense(gates.hadamard_all(manager, k), matrix_space(k))
+        assert manager.from_dense(h @ h, matrix_space(k)) == \
+            gates.identity_gate(manager, k)
 
 
 def test_invalid_sizes_rejected(manager):
@@ -196,3 +207,12 @@ def test_invalid_sizes_rejected(manager):
         gates.hadamard_all(manager, 0)
     with pytest.raises(GateSizeError):
         gates.diffusion(manager, -1)
+
+
+def test_too_many_qubits_raise_a_typed_error(manager):
+    # 2/2^k overflowed a float conversion from k = 1024 on; both builds
+    # are far too deep for the recursion limit.
+    with pytest.raises(QuiddError):
+        gates.hadamard_all(manager, 3000)
+    with pytest.raises(QuiddError):
+        gates.diffusion(manager, 1024)

@@ -303,6 +303,22 @@ def test_frequent_collection_keeps_refs_and_results(monkeypatch):
     assert again.comparable() == want.comparable()
 
 
+@pytest.mark.parametrize("marked", [[5], [5, 900, 2000]])
+def test_run_ends_with_the_same_store_at_any_collection_setting(
+        monkeypatch, marked):
+    # A run ends with a collection, so how often it collected on the way
+    # leaves no trace in the manager.
+    k = 12
+    stores = []
+    for every in (4096, 64):
+        monkeypatch.setattr(grover, "COLLECT_EVERY", every)
+        m = QuiddManager()
+        grover.run(m, oracle.compile_marked_set(m, k, marked),
+                   GroverParams(k=k, shots=2))
+        stores.append((m.nodes_created, m.size))
+    assert stores[0] == stores[1]
+
+
 def full_walk_live_counts(k, marked, iterations):
     """Live counts by definition: one walk over the state and the run's
     three fixed diagrams together, in a manager that never collects."""

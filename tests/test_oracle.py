@@ -65,6 +65,12 @@ def test_marked_set_rejects_out_of_range(manager):
         oracle.compile_marked_set(manager, 0, [0])
 
 
+@pytest.mark.parametrize("bad", [2.7, 3.0, "3", None])
+def test_marked_set_rejects_non_integer_indices(manager, bad):
+    with pytest.raises(OracleError):
+        oracle.compile_marked_set(manager, 3, [1, bad])
+
+
 def test_duplicate_indices_collapse(manager):
     orc = oracle.compile_marked_set(manager, 4, [7, 7, 7])
     assert orc.marked_count == 1

@@ -198,46 +198,7 @@ def test_scalar_mul_rejects_non_finite(manager):
 
 
 # ---------------------------------------------------------------------------
-# tensor
-
-
-def test_tensor_of_terminals_multiplies(manager):
-    r = manager.tensor(manager.terminal(2.0), manager.terminal(0.5), 0)
-    assert r == manager.terminal(1.0)
-
-
-def test_tensor_matches_kron_for_hadamard(manager):
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    rh = manager.from_dense(h, matrix_space(1))
-    got = manager.to_dense(manager.tensor(rh, rh, 1), matrix_space(2))
-    assert np.max(np.abs(got - np.kron(h, h))) < 1e-12
-    assert np.max(np.abs(np.abs(got) - 0.5)) < 1e-12
-
-
-def test_tensor_of_identities_is_identity(manager):
-    i1 = manager.from_dense(np.eye(2, dtype=complex), matrix_space(1))
-    i2 = manager.from_dense(np.eye(4, dtype=complex), matrix_space(2))
-    assert manager.tensor(i1, i1, 1) == i2
-
-
-def test_tensor_rejects_mixed_space_kinds(manager):
-    v = manager.from_dense(np.array([1, 0], dtype=complex), vector_space(1))
-    g = manager.from_dense(np.eye(2, dtype=complex), matrix_space(1))
-    with pytest.raises(SpaceMismatchError):
-        manager.tensor(v, g, 1)
-
-
-@given(a=dense_vectors(1), b=dense_vectors(2))
-def test_tensor_matches_kron_on_vectors(a, b):
-    m = QuiddManager()
-    ra = m.from_dense(a, vector_space(1))
-    rb = m.from_dense(b, vector_space(2))
-    got = m.to_dense(m.tensor(ra, rb, 1), vector_space(3))
-    assert np.max(np.abs(got - np.kron(a, b))) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# matvec / matmat / inner product
+# matvec / inner product
 
 
 def test_matvec_identity_is_reference_neutral(manager):
@@ -331,11 +292,6 @@ EXACT_SPACE_CASES = {
     "apply-column-variable-under-zero-operand": lambda m: m.apply(
         "mul", m.from_dense([0, 1], vector_space(1)),
         m.from_dense([[1, 2], [3, 3]], matrix_space(1))),
-    # The graft only meets b at a's terminals 0 and 1, which annihilate
-    # and return it whole.
-    "tensor-column-variable-under-zero-and-one": lambda m: m.tensor(
-        m.from_dense([0, 1], vector_space(1)),
-        m.from_dense([[1, 2], [3, 3]], matrix_space(1)), 1),
 }
 
 
@@ -344,29 +300,6 @@ EXACT_SPACE_CASES = {
 def test_space_checks_read_parts_the_kernels_skip(manager, call):
     with pytest.raises(SpaceMismatchError):
         call(manager)
-
-
-def test_matmat_hadamard_squares_to_identity(manager):
-    h = manager.from_dense(
-        np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), matrix_space(1))
-    i1 = manager.from_dense(np.eye(2, dtype=complex), matrix_space(1))
-    assert manager.matmat(h, h, 1) == i1
-
-
-def test_matmat_identity_is_reference_neutral(manager):
-    i2 = manager.from_dense(np.eye(4, dtype=complex), matrix_space(2))
-    b = manager.from_dense(np.arange(16, dtype=complex).reshape(4, 4),
-                           matrix_space(2))
-    assert manager.matmat(i2, b, 2) == b
-
-
-@given(a=dense_matrices(2), b=dense_matrices(2))
-def test_matmat_matches_dense(a, b):
-    m = QuiddManager()
-    ra = m.from_dense(a, matrix_space(2))
-    rb = m.from_dense(b, matrix_space(2))
-    got = m.to_dense(m.matmat(ra, rb, 2), matrix_space(2))
-    assert np.max(np.abs(got - a @ b)) < 1e-12
 
 
 def test_inner_product_basics(manager):
@@ -690,12 +623,14 @@ def test_round_trip_is_canonical(v):
 
 
 def test_canonicity_across_construction_routes(manager):
-    # from_dense of a Kronecker product must meet tensor() at the same node.
+    # from_dense of a Kronecker product must meet the elementwise product
+    # of its two factors, each constant on the other's qubits.
     a = np.array([0.5, -0.5], dtype=complex)
     b = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     direct = manager.from_dense(np.kron(a, b), vector_space(3))
-    composed = manager.tensor(manager.from_dense(a, vector_space(1)),
-                              manager.from_dense(b, vector_space(2)), 1)
+    composed = manager.apply(
+        "mul", manager.from_dense(np.repeat(a, 4), vector_space(3)),
+        manager.from_dense(np.tile(b, 2), vector_space(3)))
     assert direct == composed
 
 
@@ -721,7 +656,8 @@ def test_to_dense_rejects_a_diagram_outside_the_space(manager):
     with pytest.raises(SpaceMismatchError):
         manager.to_dense(g, vector_space(1))
     with pytest.raises(SpaceMismatchError):
-        manager.to_dense(manager.tensor(g, g, 1), matrix_space(1))
+        manager.to_dense(manager.from_dense(np.eye(4), matrix_space(2)),
+                         matrix_space(1))
 
 
 def test_matrix_round_trip(manager):
@@ -763,13 +699,12 @@ def test_cache_disabled_enters_nothing():
     a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
-    m.matvec(m.matmat(a, b, 3), u, 3)
+    m.matvec(a, u, 3)
     m.matvec(m.terminal(0.5), u, 3)
-    m.matvec(a, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.matvec(b, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
     m.inner_product(u, m.apply("mul", u, u), 3)
     m.inner_product(u, u, 3, m.from_dense(np.repeat([0.0, 1.0], 4),
                                           vector_space(3)))
-    m.tensor(a, b, 3)
     assert all(len(memo) == 0 for memo in m._memos)
 
 
@@ -810,11 +745,10 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
     b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
     v = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
-    m.matvec(m.matmat(a, b, 3), u, 3)
+    m.matvec(a, u, 3)
     m.matvec(m.terminal(0.5), u, 3)
-    m.matvec(a, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.matvec(b, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
     m.inner_product(u, m.apply("mul", u, v), 3)
-    m.tensor(a, b, 3)
     assert all(0 < len(memo) <= 8 for memo in m._memos)
 
 
