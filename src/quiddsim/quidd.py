@@ -43,6 +43,18 @@ moves them below the raised floor but never frees one, so every grid
 cell keeps its first representative and results do not depend on when
 collections happen.
 
+Computed tables
+---------------
+Each operation remembers its results in a computed table.  A table is
+emptied when it reaches ``CACHE_LIMIT`` entries and by every collection.
+The tables a product or an inner product fills last one call:
+:meth:`QuiddManager.matvec` empties the matvec, vector-sum, add and
+multiply tables when it starts, and :meth:`QuiddManager.inner_product`
+empties the inner-product table.  In a Grover run every iteration has a
+new state, so their entries would be dead by the next call anyway.  The
+row-sum table (keyed by gate blocks) and the span table last until the
+next collection.  Results never depend on what a table holds.
+
 A manager and every ref it issued are confined to one thread of control.
 Refs from different managers must never be mixed.
 """
@@ -181,7 +193,11 @@ class QuiddManager:
     roots via :meth:`count_nodes`.  The space checks derive what they
     need from the diagram itself (:meth:`_span`), through a computed
     table like any other.  Each computed table is emptied once it holds
-    ``CACHE_LIMIT`` entries.  The manager takes no settings.
+    ``CACHE_LIMIT`` entries; those of :meth:`matvec` and
+    :meth:`inner_product` are also emptied when the call starts, and
+    only the row-sum and span tables outlive a call.  The zero
+    terminal's ref is kept on the manager for the kernels' shortcuts,
+    and :meth:`collect` renews it.  The manager takes no settings.
     """
 
     def __init__(self):
@@ -203,6 +219,7 @@ class QuiddManager:
                        self._vs_memo, self._rs_memo, self._ip_memo,
                        self._span_memo)
         self._freed = 0         # nodes released by collect()
+        self._zero: int | None = None   # the terminal of cell (0, 0)
 
     # ------------------------------------------------------------------
     # construction and inspection
@@ -234,8 +251,10 @@ class QuiddManager:
         ref = self._terminals.get(key)
         if ref is None:
             if key == (0, 0):
-                z = 0j      # canonical zero keeps annihilator shortcuts exact
-            ref = self._new(TERMINAL_VAR, -1, -1, z)
+                # Canonical zero keeps annihilator shortcuts exact.
+                ref = self._zero = self._new(TERMINAL_VAR, -1, -1, 0j)
+            else:
+                ref = self._new(TERMINAL_VAR, -1, -1, z)
             self._terminals[key] = ref
         return ref
 
@@ -293,11 +312,6 @@ class QuiddManager:
         cache[key] = r
         return r
 
-    def _cof(self, ref: int, var: int, bit: int) -> int:
-        if self._var[ref] == var:
-            return self._high[ref] if bit else self._low[ref]
-        return ref
-
     # ------------------------------------------------------------------
     # elementwise operations
 
@@ -349,7 +363,7 @@ class QuiddManager:
         # Identity and annihilator shortcuts return operands untouched, so
         # e.g. multiplying by a constant-one diagram is reference-neutral.
         if va == 0 or vb == 0:
-            return self._term(0j)
+            return self._zero
         if va == 1:
             return b
         if vb == 1:
@@ -419,13 +433,22 @@ class QuiddManager:
         without building it: the walk carries the phase beside the vector.
         That is bit for bit the built product's result unless the product
         drops a node the pair keeps, or the walk first fills a product
-        entry's grid cell with another value; then it agrees to rounding."""
+        entry's grid cell with another value; then it agrees to rounding.
+
+        The matvec, vector-sum, add and multiply tables are emptied when
+        the call starts, so their entries last one call; the row-sum
+        table is kept."""
         if k < 1:
             raise SpaceMismatchError("k must be >= 1")
         self._check_matrix(gate, k)
         self._check_vector(vec, k)
         if phase is not None:
             self._check_vector(phase, k)
+        for memo in (self._mv_memo, self._vs_memo, self._add_memo,
+                     self._mul_memo):
+            memo.clear()
+        # The shortcuts return the zero terminal, so it must exist.
+        self._term(0j)
         ref, off = self._matvec_rec(0, gate, vec, phase, k)
         if off == 0:
             return ref
@@ -446,11 +469,11 @@ class QuiddManager:
             w, p = (w if value[p] == 1 else self._mul(p, w)), None
         gv, wv = value[g], value[w]
         if gv == 0 or wv == 0:
-            return self._term(0j), 0j
+            return self._zero, 0j
         if gv is not None:
             # Constant block: every row sums the same entries, so the whole
             # result is uniform and lives entirely in the offset.
-            return self._term(0j), gv * self._vecsum_rec(m, w, p, k)
+            return self._zero, gv * self._vecsum_rec(m, w, p, k)
         if wv is not None and p is None:
             # Constant vector segment: the result is the block's row-sum
             # profile scaled once, and the profile caches per gate node.
@@ -460,29 +483,47 @@ class QuiddManager:
             rs = self._rowsum_rec(m, g, k)
             rsv = value[rs]
             if rsv is not None:
-                return self._term(0j), wv * rsv
+                return self._zero, wv * rsv
             return self._mul(w, rs), 0j
         key = (m, g, w, p)
         hit = self._mv_memo.get(key)
         if hit is not None:
             return hit
+        # Cofactors on row variable rv, then on column variable cv; an
+        # operand that skips the variable is both of its cofactors.
+        var, low, high = self._var, self._low, self._high
         rv = 2 * m
         cv = rv + 1
-        cof = self._cof
-        g0 = cof(g, rv, 0)
-        g1 = cof(g, rv, 1)
-        g00, g01 = cof(g0, cv, 0), cof(g0, cv, 1)
-        g10, g11 = cof(g1, cv, 0), cof(g1, cv, 1)
-        w0, w1 = cof(w, rv, 0), cof(w, rv, 1)
-        p0, p1 = (p, p) if p is None else (cof(p, rv, 0), cof(p, rv, 1))
+        if var[g] == rv:
+            g0, g1 = low[g], high[g]
+        else:
+            g0 = g1 = g
+        if var[g0] == cv:
+            g00, g01 = low[g0], high[g0]
+        else:
+            g00 = g01 = g0
+        if var[g1] == cv:
+            g10, g11 = low[g1], high[g1]
+        else:
+            g10 = g11 = g1
+        if var[w] == rv:
+            w0, w1 = low[w], high[w]
+        else:
+            w0 = w1 = w
+        if p is not None and var[p] == rv:
+            p0, p1 = low[p], high[p]
+        else:
+            p0 = p1 = p
         m1 = m + 1
+        zero = self._zero
+        # A zero side of a sum is skipped as _add would skip it.
         l0, c00 = self._matvec_rec(m1, g00, w0, p0, k)
         l1, c01 = self._matvec_rec(m1, g01, w1, p1, k)
-        lo = self._add(l0, l1)
+        lo = l1 if l0 == zero else l0 if l1 == zero else self._add(l0, l1)
         lo_off = c00 + c01
         h0, c10 = self._matvec_rec(m1, g10, w0, p0, k)
         h1, c11 = self._matvec_rec(m1, g11, w1, p1, k)
-        hi = self._add(h0, h1)
+        hi = h1 if h0 == zero else h0 if h1 == zero else self._add(h0, h1)
         hi_off = c10 + c11
         if lo_off == hi_off:
             off = lo_off
@@ -512,12 +553,19 @@ class QuiddManager:
         hit = self._vs_memo.get(key)
         if hit is not None:
             return hit
+        var, low, high = self._var, self._low, self._high
         rv = 2 * m
-        cof = self._cof
-        p0, p1 = (p, p) if p is None else (cof(p, rv, 0), cof(p, rv, 1))
-        if self._var[w] == rv or p0 != p1:
-            r = (self._vecsum_rec(m + 1, cof(w, rv, 0), p0, k)
-                 + self._vecsum_rec(m + 1, cof(w, rv, 1), p1, k))
+        if p is not None and var[p] == rv:
+            p0, p1 = low[p], high[p]
+        else:
+            p0 = p1 = p
+        if var[w] == rv:
+            w0, w1 = low[w], high[w]
+        else:
+            w0 = w1 = w
+        if w0 != w1 or p0 != p1:
+            r = (self._vecsum_rec(m + 1, w0, p0, k)
+                 + self._vecsum_rec(m + 1, w1, p1, k))
         else:
             r = 2 * self._vecsum_rec(m + 1, w, p, k)
         return self._remember(self._vs_memo, key, r)
@@ -531,16 +579,17 @@ class QuiddManager:
         hit = self._rs_memo.get(key)
         if hit is not None:
             return hit
+        var, low, high = self._var, self._low, self._high
         rv = 2 * m
         cv = rv + 1
-        cof = self._cof
-        g0 = cof(g, rv, 0)
-        g1 = cof(g, rv, 1)
+        g0, g1 = (low[g], high[g]) if var[g] == rv else (g, g)
+        g00, g01 = (low[g0], high[g0]) if var[g0] == cv else (g0, g0)
+        g10, g11 = (low[g1], high[g1]) if var[g1] == cv else (g1, g1)
         m1 = m + 1
-        lo = self._add(self._rowsum_rec(m1, cof(g0, cv, 0), k),
-                       self._rowsum_rec(m1, cof(g0, cv, 1), k))
-        hi = self._add(self._rowsum_rec(m1, cof(g1, cv, 0), k),
-                       self._rowsum_rec(m1, cof(g1, cv, 1), k))
+        lo = self._add(self._rowsum_rec(m1, g00, k),
+                       self._rowsum_rec(m1, g01, k))
+        hi = self._add(self._rowsum_rec(m1, g10, k),
+                       self._rowsum_rec(m1, g11, k))
         r = self.node(rv, lo, hi)
         return self._remember(self._rs_memo, key, r)
 
@@ -558,9 +607,12 @@ class QuiddManager:
         ``inner_product(v, v, k, mask)[0]`` to ``inner_product(w, w, k)``
         for ``w = apply("mul", mask, v)``.  A mask terminal other than
         exactly 0 or 1 that the walk reaches raises :class:`MaskError`.
+        The inner-product table is emptied when the call starts, so its
+        entries last one call.
         """
         self._check_vector(u, k)
         self._check_vector(v, k)
+        self._ip_memo.clear()
         if mask is None:
             return self._inner_rec(0, None, u, v, k)[0]
         self._check_vector(mask, k)
@@ -596,13 +648,22 @@ class QuiddManager:
         hit = self._ip_memo.get(key)
         if hit is not None:
             return hit
+        var, low, high = self._var, self._low, self._high
         w = 2 * m
-        cof = self._cof
-        mask0 = mask1 = mask
-        if mask is not None:
-            mask0, mask1 = cof(mask, w, 0), cof(mask, w, 1)
-        s0, f0 = self._inner_rec(m + 1, mask0, cof(u, w, 0), cof(v, w, 0), k)
-        s1, f1 = self._inner_rec(m + 1, mask1, cof(u, w, 1), cof(v, w, 1), k)
+        if mask is not None and var[mask] == w:
+            mask0, mask1 = low[mask], high[mask]
+        else:
+            mask0 = mask1 = mask
+        if var[u] == w:
+            u0, u1 = low[u], high[u]
+        else:
+            u0 = u1 = u
+        if var[v] == w:
+            v0, v1 = low[v], high[v]
+        else:
+            v0 = v1 = v
+        s0, f0 = self._inner_rec(m + 1, mask0, u0, v0, k)
+        s1, f1 = self._inner_rec(m + 1, mask1, u1, v1, k)
         return self._remember(self._ip_memo, key, (s0 + s1, f0 + f1))
 
     def entry_at(self, vec: int, x: int, k: int) -> complex:
@@ -720,6 +781,7 @@ class QuiddManager:
         # cell's first representative.
         self._terminals.update(zip(map(_grid_key, value[floor:new_floor]),
                                    range(floor, new_floor)))
+        self._zero = self._terminals.get((0, 0))
         unique.update(zip(zip(var[new_floor:], low[new_floor:], high[new_floor:]),
                           range(new_floor, len(var))))
         self._freed += size - len(var)

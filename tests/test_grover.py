@@ -372,6 +372,47 @@ def test_collection_bounds_run_memory():
     assert peaks[QuiddManager] * 3 <= peaks[NeverFreeManager], peaks
 
 
+class TableWatchManager(QuiddManager):
+    """Counts the entries each iteration enters into the matvec,
+    vector-sum and inner-product tables (an iteration starts with its
+    matvec), and keeps what those tables hold when collect() is called."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = self.most_entered = 0
+        self.held = None
+
+    def _remember(self, cache, key, r):
+        if cache is self._mv_memo or cache is self._vs_memo \
+                or cache is self._ip_memo:
+            self.entered += 1
+        return super()._remember(cache, key, r)
+
+    def matvec(self, gate, vec, k, phase=None):
+        self.most_entered = max(self.most_entered, self.entered)
+        self.entered = 0
+        return super().matvec(gate, vec, k, phase)
+
+    def collect(self, floor, roots):
+        self.most_entered = max(self.most_entered, self.entered)
+        self.held = sum(map(len, (self._mv_memo, self._vs_memo,
+                                  self._ip_memo)))
+        return super().collect(floor, roots)
+
+
+def test_per_call_tables_hold_one_iteration(monkeypatch):
+    # Without a collection between iterations, the tables still hold no
+    # more than one iteration's entries when the run ends: matvec and
+    # inner_product start from empty tables.
+    monkeypatch.setattr(grover, "COLLECT_EVERY", 10**9)
+    k = 14
+    m = TableWatchManager()
+    orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+    rec = grover.run(m, orc, GroverParams(k=k, shots=0))
+    assert rec.iterations > 50
+    assert 0 < m.held <= m.most_entered, (m.held, m.most_entered)
+
+
 def test_run_interns_few_terminals_per_iteration(monkeypatch):
     # Collecting every 64 allocations leaves the store holding the run's
     # live diagrams plus every terminal it interned (terminals are never

@@ -741,13 +741,19 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
     monkeypatch.setattr(quidd, "CACHE_LIMIT", 8)
     m = QuiddManager()
     rng = np.random.default_rng(8)
-    a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    # matvec empties the matvec, vector-sum, add and multiply tables when
+    # it starts, so the last product must fill the first three (apply
+    # refills the multiply table after it).  a's constant quadrant gives
+    # its product vector sums beside its matvec entries.
+    dense_a = rng.normal(size=(8, 8)).astype(complex)
+    dense_a[:4, 4:] = 0.5
+    a = m.from_dense(dense_a, matrix_space(3))
     b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
     v = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
-    m.matvec(a, u, 3)
     m.matvec(m.terminal(0.5), u, 3)
     m.matvec(b, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.matvec(a, u, 3)
     m.inner_product(u, m.apply("mul", u, v), 3)
     assert all(0 < len(memo) <= 8 for memo in m._memos)
 
@@ -834,6 +840,39 @@ def test_collect_empties_computed_tables_and_stays_consistent():
     assert not any(m._memos)
     assert m.matvec(g, v, 3) == w
     assert np.array_equal(m.to_dense(w, vector_space(3)), want)
+
+
+def test_kernels_return_the_zero_terminal_after_collect_moves_it():
+    m = QuiddManager()
+    rng = np.random.default_rng(13)
+    k = 2
+    dense_g = rng.normal(size=(4, 4)).astype(complex)
+    dense_g[:2, 2:] = 0.5               # a constant quadrant, and
+    dense_g[2:, :2] = -1.5              # one whose rows sum to a constant
+    dense_g[3, 1] = 2.0
+    dense_u = rng.normal(size=4).astype(complex)
+    g = m.from_dense(dense_g, matrix_space(k))
+    u = m.from_dense(dense_u, vector_space(k))
+    floor = m.size
+    # The zero terminal is interned above the floor, behind an internal
+    # node the collection frees, so the collection moves it down.
+    m.from_dense(np.arange(1.0, 5.0), vector_space(k))
+    stale = m.terminal(0)
+    dense_v = np.array([0.0, 3.0, 0.0, -2.0], dtype=complex)
+    v = m.from_dense(dense_v, vector_space(k))
+    dense_x = rng.normal(size=4).astype(complex)
+    x = m.from_dense(dense_x, vector_space(k))
+    _, (v, x) = m.collect(floor, (v, x))
+    zero = m.terminal(0)
+    assert zero != stale
+    assert m.matvec(g, zero, k) == zero
+    assert m.matvec(zero, u, k) == zero
+    assert m.apply("mul", zero, u) == zero
+    half = m.terminal(0.5)
+    for gate, dense_gate in ((g, dense_g), (half, np.full((4, 4), 0.5))):
+        for vec, dense_vec in ((u, dense_u), (v, dense_v), (x, dense_x)):
+            got = m.to_dense(m.matvec(gate, vec, k), vector_space(k))
+            assert np.max(np.abs(got - dense_gate @ dense_vec)) < 1e-12
 
 
 # Each case reaches one recursive builder or walker, and nothing else that
