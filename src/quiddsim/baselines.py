@@ -9,6 +9,7 @@ its seed.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -137,8 +138,14 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_restarts < 1:
+        try:
+            max_restarts = operator.index(self.max_restarts)
+        except TypeError:
+            raise ValueError(f"max_restarts must be an integer, got "
+                             f"{self.max_restarts!r}") from None
+        if max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
+        object.__setattr__(self, "max_restarts", max_restarts)
 
 
 @dataclass(frozen=True)
@@ -149,61 +156,6 @@ class WalkResult:
     total_flips: int
 
 
-class _WalkInstance:
-    """Incremental clause bookkeeping for the random walk."""
-
-    def __init__(self, formula: CnfFormula):
-        self.clauses = [tuple(c) for c in formula.clauses]
-        self.num_vars = formula.num_vars
-        self.occ_pos: list[list[int]] = [[] for _ in range(self.num_vars)]
-        self.occ_neg: list[list[int]] = [[] for _ in range(self.num_vars)]
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                (self.occ_pos if lit > 0 else self.occ_neg)[abs(lit) - 1].append(ci)
-        self.sat_count = [0] * len(self.clauses)
-        self.unsat: list[int] = []
-        self.unsat_pos = [-1] * len(self.clauses)
-        self.bits: list[bool] = []
-
-    def reset(self, bits: list[bool]) -> None:
-        self.bits = bits
-        self.unsat.clear()
-        for ci, clause in enumerate(self.clauses):
-            n = sum(1 for lit in clause if bits[abs(lit) - 1] == (lit > 0))
-            self.sat_count[ci] = n
-            if n == 0:
-                self.unsat_pos[ci] = len(self.unsat)
-                self.unsat.append(ci)
-            else:
-                self.unsat_pos[ci] = -1
-
-    def _make_unsat(self, ci: int) -> None:
-        self.unsat_pos[ci] = len(self.unsat)
-        self.unsat.append(ci)
-
-    def _make_sat(self, ci: int) -> None:
-        p = self.unsat_pos[ci]
-        last = self.unsat[-1]
-        self.unsat[p] = last
-        self.unsat_pos[last] = p
-        self.unsat.pop()
-        self.unsat_pos[ci] = -1
-
-    def flip(self, v: int) -> None:
-        new_bit = not self.bits[v]
-        self.bits[v] = new_bit
-        gains = self.occ_pos[v] if new_bit else self.occ_neg[v]
-        loses = self.occ_neg[v] if new_bit else self.occ_pos[v]
-        for ci in gains:
-            self.sat_count[ci] += 1
-            if self.sat_count[ci] == 1:
-                self._make_sat(ci)
-        for ci in loses:
-            self.sat_count[ci] -= 1
-            if self.sat_count[ci] == 0:
-                self._make_unsat(ci)
-
-
 def schoening_walk(config: WalkConfig) -> WalkResult:
     """Random walk for 3-SAT, restarted from fresh uniform assignments.
 
@@ -211,26 +163,91 @@ def schoening_walk(config: WalkConfig) -> WalkResult:
     random unsatisfied clause and flips a uniformly random variable in
     it.  A returned assignment is re-verified against the formula before
     it leaves this function.
+
+    The walk draws from ``random.Random(config.seed)`` in this order, and
+    seeded results depend on it:
+
+    1. per restart, k calls of ``getrandbits(1)``, one per variable in
+       order, give the starting assignment;
+    2. per flip, a position in the list of unsatisfied clauses, then a
+       literal position in that clause, each drawn as
+       ``randrange(length)`` draws it: ``getrandbits(length.bit_length())``
+       again until the value is below the length.
+
+    The unsatisfied list starts in clause order; a clause that turns
+    satisfied is replaced by the list's last entry, and one that turns
+    unsatisfied is appended, clauses gaining a true literal first.
     """
     formula = config.formula
     if not is_3cnf(formula):
         raise FormulaError("the walk requires clauses of at most 3 literals")
-    flips_budget = 3 * formula.num_vars
-    rng = random.Random(config.seed)
-    inst = _WalkInstance(formula)
+    num_vars = formula.num_vars
+    # Per clause: its variables (0-based, one per literal), its width and
+    # the bits a draw below that width takes.
+    clauses = [(tuple(abs(lit) - 1 for lit in c), len(c), len(c).bit_length())
+               for c in formula.clauses]
+    # One entry per literal occurrence, so a repeated literal counts twice
+    # and x or not-x gains one true literal as it loses one.
+    pos: list[list[int]] = [[] for _ in range(num_vars)]
+    neg: list[list[int]] = [[] for _ in range(num_vars)]
+    for ci, c in enumerate(formula.clauses):
+        for lit in c:
+            (pos if lit > 0 else neg)[abs(lit) - 1].append(ci)
+    # moves[v][b]: (clauses that gain a true literal, clauses that lose
+    # one) when variable v flips away from bit b.
+    moves = [((p, q), (q, p))
+             for p, q in zip(map(tuple, pos), map(tuple, neg))]
+    num_clauses = len(clauses)
+    unsat_pos = [0] * num_clauses
+    flips_budget = 3 * num_vars
+    getrandbits = random.Random(config.seed).getrandbits
     total_flips = 0
     for restart in range(1, config.max_restarts + 1):
-        bits = [bool(rng.getrandbits(1)) for _ in range(formula.num_vars)]
-        inst.reset(bits)
+        bits = [getrandbits(1) for _ in range(num_vars)]
+        sat_count = [0] * num_clauses
+        # The clauses v's bit satisfies are those that lose a true
+        # literal when v flips away from it.
+        for v, b in enumerate(bits):
+            for ci in moves[v][b][1]:
+                sat_count[ci] += 1
+        unsat = [ci for ci, c in enumerate(sat_count) if not c]
+        for p, ci in enumerate(unsat):
+            unsat_pos[ci] = p
         for _ in range(flips_budget):
-            if not inst.unsat:
+            u = len(unsat)
+            if not u:
                 break
-            clause = inst.clauses[inst.unsat[rng.randrange(len(inst.unsat))]]
-            lit = clause[rng.randrange(len(clause))]
-            inst.flip(abs(lit) - 1)
+            nbits = u.bit_length()
+            r = getrandbits(nbits)
+            while r >= u:
+                r = getrandbits(nbits)
+            cvars, width, nbits = clauses[unsat[r]]
+            r = getrandbits(nbits)
+            while r >= width:
+                r = getrandbits(nbits)
+            v = cvars[r]
+            b = bits[v]
+            bits[v] = b ^ 1
+            gains, loses = moves[v][b]
+            for ci in gains:
+                c = sat_count[ci]
+                sat_count[ci] = c + 1
+                if not c:
+                    p = unsat_pos[ci]
+                    last = unsat.pop()
+                    if last != ci:
+                        unsat[p] = last
+                        unsat_pos[last] = p
+            for ci in loses:
+                c = sat_count[ci] - 1
+                sat_count[ci] = c
+                if not c:
+                    unsat_pos[ci] = len(unsat)
+                    unsat.append(ci)
             total_flips += 1
-        if not inst.unsat and evaluate_bits(formula, inst.bits):
-            return WalkResult(tuple(inst.bits), True, restart, total_flips)
+        if not unsat and evaluate_bits(formula, bits):
+            return WalkResult(tuple(map(bool, bits)), True, restart,
+                              total_flips)
     return WalkResult(None, False, config.max_restarts, total_flips)
 
 

@@ -1,10 +1,12 @@
 """Classical baseline strategies: scan, random probing, walk, crossover."""
 
+import hashlib
 import math
+import random
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiddsim import baselines
 from quiddsim.baselines import (
@@ -178,11 +180,16 @@ def test_walk_reports_failure_on_unsatisfiable_formula():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_returns_only_verified_assignments(seed):
+    # The walk's seed must not be the instance's: planted_3cnf draws its
+    # hidden model with the same first getrandbits(1) calls, so the walk
+    # would start on it and never flip.
     inst = planted_3cnf(12, seed=seed)
-    res = schoening_walk(WalkConfig(inst.formula, max_restarts=4000, seed=seed))
+    res = schoening_walk(WalkConfig(inst.formula, max_restarts=4000,
+                                    seed=5000 + seed))
     assert res.satisfied
     assert evaluate_bits(inst.formula, res.assignment)
     assert res.restarts_used <= 4000
+    assert res.total_flips > 0
 
 
 def test_walk_is_reproducible_per_seed():
@@ -200,7 +207,8 @@ def test_walk_per_restart_rate_tracks_three_quarters_power_k():
     walks = 400
     for t in range(walks):
         inst = parity_3cnf(k, seed=t % 10)
-        res = schoening_walk(WalkConfig(inst.formula, max_restarts=1, seed=t))
+        res = schoening_walk(WalkConfig(inst.formula, max_restarts=1,
+                                        seed=5000 + t))
         hits += res.satisfied
     rate = hits / walks
     law = (3 / 4) ** k
@@ -211,6 +219,100 @@ def test_walk_config_validation():
     formula = CnfFormula(num_vars=3, clauses=((1, 2, 3),))
     with pytest.raises(ValueError):
         WalkConfig(formula, max_restarts=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None])
+def test_walk_config_rejects_non_integer_max_restarts(bad):
+    formula = CnfFormula(num_vars=3, clauses=((1, 2, 3),))
+    with pytest.raises(ValueError, match="integer"):
+        WalkConfig(formula, max_restarts=bad)
+
+
+def _pinned_walks():
+    for n in range(12, 21):
+        formula = planted_3cnf(n, seed=n).formula
+        for w in range(3):
+            yield WalkConfig(formula, max_restarts=100_000, seed=1000 * n + w)
+    for n in range(8, 17):
+        formula = parity_3cnf(n, seed=n).formula
+        for w in range(3):
+            yield WalkConfig(formula, max_restarts=100_000, seed=2000 * n + w)
+    # The parity formula's only model excluded by one more clause: every
+    # restart walks its full 3k flips and the walk runs out of restarts.
+    inst = parity_3cnf(10, seed=0)
+    block = tuple(-(v + 1) if inst.hidden_bits[v] else v + 1 for v in range(3))
+    formula = CnfFormula(10, inst.formula.clauses + (block,))
+    yield WalkConfig(formula, max_restarts=300, seed=3)
+
+
+def test_walk_results_are_pinned():
+    # Seeded walks are part of the results (perfbench and criterion 7
+    # read them), so the draw order and the bookkeeping may not change.
+    h = hashlib.sha256()
+    last = None
+    for cfg in _pinned_walks():
+        last = schoening_walk(cfg)
+        h.update(repr((last.assignment, last.restarts_used,
+                       last.total_flips)).encode())
+    assert (last.satisfied, last.restarts_used, last.total_flips) == (
+        False, 300, 9000)
+    assert h.hexdigest() == ("32eb2383a10e86803785d6ab980c7480"
+                             "15f25767526f4748623c1f294bbcec9d")
+
+
+def reference_walk(formula, max_restarts, seed):
+    """The walk written plainly, drawing through ``randrange``."""
+    rng = random.Random(seed)
+    n = formula.num_vars
+    clauses = formula.clauses
+    total = 0
+    for restart in range(1, max_restarts + 1):
+        bits = [bool(rng.getrandbits(1)) for _ in range(n)]
+        count = [sum(bits[abs(lit) - 1] == (lit > 0) for lit in c)
+                 for c in clauses]
+        unsat = [ci for ci, k in enumerate(count) if k == 0]
+        for _ in range(3 * n):
+            if not unsat:
+                break
+            clause = clauses[unsat[rng.randrange(len(unsat))]]
+            v = abs(clause[rng.randrange(len(clause))]) - 1
+            bits[v] = not bits[v]
+            occ = [(ci, (lit > 0) == bits[v]) for ci, c in enumerate(clauses)
+                   for lit in c if abs(lit) - 1 == v]
+            for ci in [ci for ci, gains in occ if gains]:
+                count[ci] += 1
+                if count[ci] == 1:
+                    unsat[unsat.index(ci)] = unsat[-1]
+                    unsat.pop()
+            for ci in [ci for ci, gains in occ if not gains]:
+                count[ci] -= 1
+                if count[ci] == 0:
+                    unsat.append(ci)
+            total += 1
+        if not unsat and evaluate_bits(formula, bits):
+            return (tuple(bits), True, restart, total)
+    return (None, False, max_restarts, total)
+
+
+@st.composite
+def small_cnfs(draw):
+    n = draw(st.integers(1, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3),
+                            min_size=1, max_size=5 * n))
+    return CnfFormula(n, tuple(map(tuple, clauses)))
+
+
+@settings(max_examples=300)
+@given(small_cnfs(), st.integers(1, 5), st.integers(0, 2 ** 64))
+@example(CnfFormula(2, ((1, 1, -2), (-1, 1), (2,), (-2, -2))), 5, 7)
+def test_walk_draws_the_randrange_stream(formula, max_restarts, seed):
+    # Covers clause widths 1-3, repeated literals and x or not-x clauses.
+    got = schoening_walk(WalkConfig(formula, max_restarts=max_restarts,
+                                    seed=seed))
+    want = reference_walk(formula, max_restarts, seed)
+    assert (got.assignment, got.satisfied, got.restarts_used,
+            got.total_flips) == want
 
 
 # ---------------------------------------------------------------------------
