@@ -8,11 +8,13 @@ Every run takes 5 shots on a fresh manager.
 
 For each collection setting (the default ``COLLECT_EVERY`` and 64) it
 prints two digests: one over every run's ``comparable()`` record, one
-over every manager's ``(nodes_created, size)`` after its run.  Equal
-digests on two versions of the code mean bit-identical results and the
-same node numbering.  A run ends with a collection, so both digests must
-also be equal at the two settings; the script exits 1 when they are
-not.  Usage::
+over every manager's whole node store after its run, as
+:meth:`QuiddManager.dump` lists it (each node's id, variable and
+children, each terminal's value).  Equal digests on two versions of the
+code mean bit-identical results and the same node store, numbering
+included.  A run ends with a collection, so both digests must also be
+equal at the two settings; the script exits 1 when they are not.
+Usage::
 
     PYTHONPATH=src python scripts/run_digest.py
 """
@@ -52,7 +54,7 @@ def digests():
     count = 0
     for m, rec in runs():
         records.update(repr(rec.comparable()).encode())
-        nodes.update(repr((m.nodes_created, m.size)).encode())
+        nodes.update(m.dump(*range(m.size)).encode())
         count += 1
     return count, records.hexdigest(), nodes.hexdigest()
 
@@ -68,7 +70,7 @@ def main() -> int:
             grover.COLLECT_EVERY = default
         print(f"COLLECT_EVERY={every}: {count} runs")
         print(f"  comparable()          {records}")
-        print(f"  (nodes_created, size) {nodes}", flush=True)
+        print(f"  node store            {nodes}", flush=True)
         seen.add((records, nodes))
     if len(seen) > 1:
         print("digests differ between the collection settings")

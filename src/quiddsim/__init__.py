@@ -10,14 +10,14 @@ dense conversion, the vectorised scan and the flat reference simulator
 from .quidd import (GRID, InvalidAmplitudeError, NodeCount, QuiddError,
                     QuiddManager, SizeCapError, SpaceMismatchError, VarSpace,
                     VariableOrderError, matrix_space, vector_space)
-from .gates import GateSizeError, diffusion, hadamard_all, identity_gate
+from .gates import GateSizeError, diffusion, hadamard_all
 from .cnf import (CnfFormula, DimacsError, FormulaError, PlantedInstance,
                   enumerate_models, parity_3cnf, parse_dimacs,
                   parse_marked_file, planted_3cnf, random_3cnf, to_dimacs)
 from .oracle import (Oracle, OracleError, Predicate, apply_oracle,
                      compile_cnf, compile_marked_set)
 from .grover import (GroverParams, GroverRun, IterationStats, NoSolutionError,
-                     TraceReport, amplitude_trace_report, grover_iterate,
+                     TraceReport, amplitude_trace_report,
                      ideal_success_probability, initialize_state, measure,
                      optimal_iterations, run, sampler)
 from .baselines import (CrossoverRow, MarkedSetPredicate, QueryLedger,

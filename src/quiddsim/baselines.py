@@ -296,8 +296,3 @@ def crossover_table(k_values, marked_count: int = 1) -> list[CrossoverRow]:
 def coupon_collector_mean(marked_count: int) -> float:
     """M * H_M: expected draws to see all M outcomes of a uniform sampler."""
     return marked_count * sum(1.0 / i for i in range(1, marked_count + 1))
-
-
-def trial_rng(seed: int, trial: int) -> random.Random:
-    """Independent per-trial stream derived from (seed, trial index)."""
-    return random.Random((seed << 32) ^ (trial * 0x9E3779B1))

@@ -39,7 +39,6 @@ READS = {
     "repeat_until_all_found": {"k_min": 6, "marked_count": 4,
                                "repetitions": 1000, "seed": 0, "out": None},
 }
-EXPERIMENTS = tuple(READS)
 
 SCALING_HEADER = "k,iterations,wall_ns,peak_internal_nodes,seed"
 ORACLE_STATS_HEADER = "k,M,internal_nodes,terminal_nodes,compile_ns"

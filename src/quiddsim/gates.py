@@ -1,13 +1,13 @@
 """Gate constructors for Grover runs.
 
 All gates are matrix diagrams over the interleaved row/column variable
-order.  H on every qubit and the identity are tensor powers of a
-one-qubit factor, built in one pass over the qubits with no dense array
-and no general tensor product.  The inversion-about-mean operator is
-built directly from its closed form (2/2^k off the diagonal, 2/2^k - 1
-on it) rather than by composing Hadamard sandwiches.  The composed
-construction, and the phase shift about zero that it needs, live only
-in the tests, as a dense cross-check.
+order.  H on every qubit is the tensor power of the one-qubit H, built
+in one pass over the qubits with no dense array and no general tensor
+product.  The inversion-about-mean operator is built node by node from
+its closed form (2/2^k off the diagonal, 2/2^k - 1 on it) rather than by
+composing Hadamard sandwiches.  The composed construction, and the
+phase shift about zero that it needs, live only in the tests, as a
+dense cross-check.
 """
 
 from __future__ import annotations
@@ -24,20 +24,6 @@ class GateSizeError(QuiddError):
 def _check_k(k: int) -> None:
     if k < 1:
         raise GateSizeError(f"gates need at least one qubit, got {k}")
-
-
-@depth_checked
-def _power(m: QuiddManager, k: int, m00, m01, m10, m11) -> int:
-    """The k-fold tensor power of the 2x2 matrix [[m00, m01], [m10, m11]].
-
-    Each entry is the product of its k factors in qubit order, and every
-    partial product is interned as a terminal, a qubit at a time.  One
-    recursion level per qubit, so a k too deep for the recursion limit
-    raises :class:`DiagramDepthError`.
-    """
-    _check_k(k)
-    factor = tuple(m.terminal(z) for z in (m00, m01, m10, m11))
-    return _blocks(m, 0, k, factor, (None,))[None]
 
 
 def _blocks(m: QuiddManager, q: int, k: int, factor: tuple,
@@ -63,24 +49,37 @@ def _blocks(m: QuiddManager, q: int, k: int, factor: tuple,
             for p, (a, b, c, d) in kids.items()}
 
 
+@depth_checked
 def hadamard_all(m: QuiddManager, k: int) -> int:
-    """H applied to every qubit, as one k-qubit matrix diagram."""
+    """H applied to every qubit, as one k-qubit matrix diagram.
+
+    The k-fold tensor power of the one-qubit H: each entry is the product
+    of its k factors in qubit order, and every partial product is
+    interned as a terminal, a qubit at a time.  One recursion level per
+    qubit, so a k too deep for the recursion limit raises
+    :class:`DiagramDepthError`.
+    """
+    _check_k(k)
     h = 1.0 / math.sqrt(2.0)
-    return _power(m, k, h, h, h, -h)
-
-
-def identity_gate(m: QuiddManager, k: int) -> int:
-    return _power(m, k, 1.0, 0.0, 0.0, 1.0)
+    factor = tuple(m.terminal(z) for z in (h, h, h, -h))
+    return _blocks(m, 0, k, factor, (None,))[None]
 
 
 def diffusion(m: QuiddManager, k: int) -> int:
     """Inversion about the mean, 2|u><u| - I for the uniform state u.
 
-    Built entrywise: a constant 2/2^k background plus -1 on the diagonal.
-    The diagram has the same shape as the identity, so it stays linear
-    in k no matter how large the register is.
+    Built from its closed form, 2/2^k off the diagonal and 2/2^k - 1 on
+    it, a qubit at a time from the last.  Over qubits q..k-1, a block on
+    the diagonal holds the diagonal block over qubits q+1..k-1 in its two
+    diagonal quadrants and the constant 2/2^k in the other two.  So the
+    diagram has 3 internal nodes per qubit and two terminals, and the
+    build neither recurses nor makes an intermediate diagram.
     """
     _check_k(k)
-    off = math.ldexp(2.0, -k)
-    return m.apply("add", m.terminal(off),
-                   m.scalar_mul(-1.0, identity_gate(m, k)))
+    c = math.ldexp(2.0, -k)
+    off = m.terminal(c)
+    cur = m.terminal(c - 1.0)
+    for q in range(k - 1, -1, -1):
+        row, col = 2 * q, 2 * q + 1
+        cur = m.node(row, m.node(col, cur, off), m.node(col, off, cur))
+    return cur

@@ -137,13 +137,6 @@ def initialize_state(m: QuiddManager, k: int) -> int:
     return m.matvec(gates.hadamard_all(m, k), cur, k)
 
 
-def grover_iterate(m: QuiddManager, oracle: Oracle, state: int,
-                   diffusion_ref: int) -> int:
-    """One Grover iteration: ``diffusion_ref`` (:func:`gates.diffusion`)
-    times the oracle's phase product, in one matvec that never builds it."""
-    return m.matvec(diffusion_ref, state, oracle.k, oracle.phase_vector)
-
-
 def sampler(m: QuiddManager, state: int,
             k: int) -> Callable[[random.Random], int]:
     """A ``draw(rng)`` sampling one basis index with probability |amplitude|^2.
@@ -230,8 +223,10 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     the run frees the nodes it allocated and no longer needs
     (:meth:`QuiddManager.collect`, floored at the store size once the
     run has built its fixed diagrams: diffusion and indicator).  So a
-    run adds to the manager only its fixed diagrams, the terminals it
-    interned and the final state, whatever the collection setting.
+    run adds to the manager only its fixed diagrams, the two
+    intermediate diagrams :func:`indicator_vector` builds on the way to
+    the indicator, the terminals it interned and the final state,
+    whatever the collection setting.
     Every ref issued before the run stays valid, and so does the
     returned ``final_state``; any other ref the run's own calls produced
     may have been freed or renumbered.
@@ -270,7 +265,9 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     queries = 0
     loop_start = time.perf_counter_ns()
     for t in range(1, iterations + 1):
-        state = grover_iterate(m, oracle, state, diffusion_ref)
+        # One iteration: the diffusion times the oracle's phase product,
+        # in one matvec that never builds the product.
+        state = m.matvec(diffusion_ref, state, k, oracle.phase_vector)
         queries += 1
         trace.append(_stats(m, t, state, indicator, marked_idx, unmarked_idx,
                             fixed, fixed_internal, k))

@@ -130,7 +130,8 @@ def compile_cnf(m: QuiddManager, formula: CnfFormula) -> Oracle:
     # The indicators use only row variables: no kind check is needed.
     for clause in formula.clauses:
         acc = m._mul(acc, _clause_indicator(m, clause))
-    phase = m.apply("add", m.terminal(1), m.scalar_mul(-2.0, acc))
+    phase = m.apply("add", m.terminal(1),
+                    m.apply("mul", m.terminal(-2.0), acc))
     return Oracle(phase, formula.num_vars,
                   _count_marked(m, phase, formula.num_vars),
                   Predicate(formula.num_vars, formula=formula))
@@ -143,8 +144,11 @@ def apply_oracle(m: QuiddManager, oracle: Oracle, vec: int) -> int:
 
 def indicator_vector(m: QuiddManager, oracle: Oracle) -> int:
     """(1 - phase)/2: the 0/1 membership vector of the marked set."""
-    return m.scalar_mul(0.5, m.apply("add", m.terminal(1),
-                                     m.scalar_mul(-1.0, oracle.phase_vector)))
+    # The sum comes first and 0.5 is interned last: the order in which
+    # terminals are interned fixes the node numbering.
+    inner = m.apply("add", m.terminal(1),
+                    m.apply("mul", m.terminal(-1.0), oracle.phase_vector))
+    return m.apply("mul", m.terminal(0.5), inner)
 
 
 def _find_index(m: QuiddManager, ref: int, k: int,

@@ -382,17 +382,6 @@ class QuiddManager:
         r = self.node(w, self._mul(a0, b0), self._mul(a1, b1))
         return self._remember(self._mul_memo, key, r)
 
-    @depth_checked
-    def scalar_mul(self, scalar, a: int) -> int:
-        z = complex(scalar)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise InvalidAmplitudeError(f"non-finite scalar: {scalar!r}")
-        if z == 1:
-            return a
-        if z == 0:
-            return self.terminal(0)
-        return self._mul(self.terminal(z), a)
-
     # ------------------------------------------------------------------
     # matrix algebra
 

@@ -204,6 +204,11 @@ def test_criterion_05_loop_time_growth_base_in_band(capfd):
 # ---------------------------------------------------------------------------
 # 6: classical baseline query counts match their closed-form means
 
+def trial_rng(seed, trial):
+    """Independent per-trial stream derived from (seed, trial index)."""
+    return random.Random((seed << 32) ^ (trial * 0x9E3779B1))
+
+
 def test_criterion_06_classical_query_means(capfd):
     with verdict(6, "scan mean within 2% of (N+1)/2 and without-replacement"
                  " mean within 3% of (N+1)/(M+1)", capfd) as info:
@@ -211,7 +216,7 @@ def test_criterion_06_classical_query_means(capfd):
         trials = 10_000
         total = 0
         for t in range(trials):
-            pos = baselines.trial_rng(607, t).randrange(n)
+            pos = trial_rng(607, t).randrange(n)
             ledger = baselines.deterministic_scan(
                 baselines.MarkedSetPredicate([pos]), n)
             assert ledger.found and ledger.index == pos
@@ -224,7 +229,7 @@ def test_criterion_06_classical_query_means(capfd):
         n2, count, trials2 = 1 << 12, 16, 4000
         total2 = 0
         for t in range(trials2):
-            rng = baselines.trial_rng(9013, t)
+            rng = trial_rng(9013, t)
             pred = baselines.MarkedSetPredicate(rng.sample(range(n2), count))
             ledger = baselines.randomized_search(
                 pred, n2, baselines.WITHOUT_REPLACEMENT,
@@ -315,7 +320,8 @@ def test_criterion_08_canonicity_norm_and_cache_identity(grid, capfd):
                 (m.to_dense(ra, vs), a),
                 (m.to_dense(m.apply("add", ra, rb), vs), a + b),
                 (m.to_dense(m.apply("mul", ra, rb), vs), a * b),
-                (m.to_dense(m.scalar_mul(0.5 - 2j, ra), vs), (0.5 - 2j) * a),
+                (m.to_dense(m.apply("mul", m.terminal(0.5 - 2j), ra), vs),
+                 (0.5 - 2j) * a),
                 (m.to_dense(m.matvec(rm, ra, k), vs), mat @ a),
                 (m.to_dense(gates.hadamard_all(m, k), ms),
                  dense.hadamard_matrix(k)),

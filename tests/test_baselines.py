@@ -20,7 +20,6 @@ from quiddsim.baselines import (
     deterministic_scan,
     randomized_search,
     schoening_walk,
-    trial_rng,
 )
 from quiddsim.cnf import (CnfFormula, FormulaError, evaluate_bits,
                           parity_3cnf, planted_3cnf)
@@ -359,11 +358,3 @@ def test_coupon_collector_mean_known_values():
     assert coupon_collector_mean(1) == 1.0
     assert coupon_collector_mean(4) == pytest.approx(25 / 3, abs=1e-12)
 
-
-def test_trial_rng_streams_are_stable_and_distinct():
-    a = trial_rng(5, 0)
-    b = trial_rng(5, 0)
-    c = trial_rng(5, 1)
-    seq_a = [a.randrange(1000) for _ in range(5)]
-    assert seq_a == [b.randrange(1000) for _ in range(5)]
-    assert seq_a != [c.randrange(1000) for _ in range(5)]

@@ -305,7 +305,7 @@ def test_repeat_all_csv_equals_one_run_per_repetition(tmp_path, seed):
 def test_cli_help_for_every_subcommand(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
-    for sub in bench.EXPERIMENTS:
+    for sub in bench.READS:
         assert cli.main([sub, "--help"]) == 0
         out = capsys.readouterr().out
         assert ("--seed" in out) == (sub != "crossover")
@@ -438,7 +438,7 @@ BUILT_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("kind", bench.EXPERIMENTS)
+@pytest.mark.parametrize("kind", bench.READS)
 def test_config_takes_only_the_fields_its_kind_reads(kind):
     reads = bench.READS[kind]
     with pytest.raises(ValueError, match="does not read"):

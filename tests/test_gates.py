@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiddsim import dense, gates
+from quiddsim import dense, gates, grover
 from quiddsim.gates import GateSizeError
-from quiddsim.quidd import QuiddError, QuiddManager, matrix_space, vector_space
+from quiddsim.quidd import (DiagramDepthError, QuiddError, QuiddManager,
+                            matrix_space, vector_space)
 
 
 def dense_power(m, matrix, k):
@@ -22,8 +23,9 @@ def dense_power(m, matrix, k):
 def phase_shift_about_zero(m, k):
     """2|0...0><0...0| - I: keeps |0...0>, phase-flips every other state."""
     proj = dense_power(m, np.array([[1.0, 0.0], [0.0, 0.0]]), k)
-    return m.apply("add", m.scalar_mul(2.0, proj),
-                   m.scalar_mul(-1.0, gates.identity_gate(m, k)))
+    ident = dense_power(m, np.eye(2), k)
+    return m.apply("add", m.apply("mul", m.terminal(2.0), proj),
+                   m.apply("mul", m.terminal(-1.0), ident))
 
 
 def phase_shift_about_zero_matrix(k):
@@ -33,9 +35,9 @@ def phase_shift_about_zero_matrix(k):
     return np.diag(d)
 
 
-# The four gates of the Grover construction and its cross-check.
-GATE_BUILDERS = (gates.hadamard_all, gates.identity_gate,
-                 phase_shift_about_zero, gates.diffusion)
+# The gates of the Grover construction and the phase shift of its
+# dense cross-check.
+GATE_BUILDERS = (gates.hadamard_all, phase_shift_about_zero, gates.diffusion)
 
 
 def test_hadamard_k1_definition(manager):
@@ -57,13 +59,6 @@ def test_hadamard_node_count_linear(k):
     assert c.internal <= 4 * k
 
 
-def test_identity_gate(manager):
-    i1 = manager.to_dense(gates.identity_gate(manager, 1), matrix_space(1))
-    assert np.array_equal(i1, np.eye(2, dtype=complex))
-    v = manager.from_dense(np.arange(32, dtype=complex), vector_space(5))
-    assert manager.matvec(gates.identity_gate(manager, 5), v, 5) == v
-
-
 def qubit_order_products(f, k):
     """Entry (r, c) of the k-fold power of the 2x2 list ``f``: its k
     factors multiplied as Python complex numbers, in qubit order."""
@@ -80,28 +75,32 @@ def qubit_order_products(f, k):
 
 
 def test_gates_intern_like_the_dense_build():
-    # Terminals equal the qubit-order products exactly (a zero's sign
-    # is its grid cell's), and a dense build in the same manager finds
-    # every node the gates made.
+    # H's terminals equal the qubit-order products exactly (a zero's
+    # sign is its grid cell's), and a dense build in the same manager
+    # finds every node the gates made.  The diffusion has a manager of
+    # its own, so that its terminals do not stand in for H's products.
     h = 1.0 / math.sqrt(2.0)
     h1 = [[complex(h), complex(h)], [complex(h), complex(-h)]]
-    m = QuiddManager()
+    m, md = QuiddManager(), QuiddManager()
     for k in range(1, 7):
         g = gates.hadamard_all(m, k)
         assert np.array_equal(m.to_dense(g, matrix_space(k)),
                               qubit_order_products(h1, k))
-        i = gates.identity_gate(m, k)
-        size = m.size
+        d = gates.diffusion(md, k)
+        sizes = m.size, md.size
         assert dense_power(m, np.array(h1), k) == g
-        assert dense_power(m, np.eye(2), k) == i
-        assert m.size == size
+        assert md.from_dense(dense.diffusion_matrix(k), matrix_space(k)) == d
+        assert (m.size, md.size) == sizes
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
-def test_identity_node_count_linear(k):
+@pytest.mark.parametrize("k", [1, 2, 6, 20])
+def test_diffusion_builds_three_nodes_per_qubit(k):
+    # On a fresh manager the build creates nothing it does not keep:
+    # 3 internal nodes per qubit and the two terminals.
     m = QuiddManager()
-    c = m.count_nodes(gates.identity_gate(m, k))
-    assert c.internal <= 3 * k
+    d = gates.diffusion(m, k)
+    assert m.count_nodes(d) == (3 * k, 2)
+    assert m.nodes_created == 3 * k + 2
 
 
 def test_phase_shift_k1(manager):
@@ -195,11 +194,11 @@ def test_gates_preserve_norm(k, seed):
 
 
 def test_hadamard_self_inverse_by_reference(manager):
-    # H H, multiplied on dense arrays, is the identity gate's node.
+    # H H, multiplied on dense arrays, is the identity's node.
     for k in (1, 2, 4):
         h = manager.to_dense(gates.hadamard_all(manager, k), matrix_space(k))
         assert manager.from_dense(h @ h, matrix_space(k)) == \
-            gates.identity_gate(manager, k)
+            dense_power(manager, np.eye(2), k)
 
 
 def test_invalid_sizes_rejected(manager):
@@ -210,9 +209,19 @@ def test_invalid_sizes_rejected(manager):
 
 
 def test_too_many_qubits_raise_a_typed_error(manager):
-    # 2/2^k overflowed a float conversion from k = 1024 on; both builds
-    # are far too deep for the recursion limit.
+    # H^k recurses once per qubit, so k = 3000 is far too deep for the
+    # recursion limit.  The diffusion is built in a loop and has its 3k
+    # nodes even at k = 1024, where 2/2^k once overflowed a float
+    # conversion; what then recurses over it raises the typed error.
+    k = 1024
     with pytest.raises(QuiddError):
         gates.hadamard_all(manager, 3000)
-    with pytest.raises(QuiddError):
-        gates.diffusion(manager, 1024)
+    d = gates.diffusion(manager, k)
+    assert manager.count_nodes(d) == (3 * k, 2)
+    with pytest.raises(DiagramDepthError):
+        grover.initialize_state(manager, k)
+    zero, basis = manager.terminal(0), manager.terminal(1)
+    for q in range(k - 1, -1, -1):
+        basis = manager.node(2 * q, basis, zero)
+    with pytest.raises(DiagramDepthError):
+        manager.matvec(d, basis, k)

@@ -102,8 +102,8 @@ def test_initial_state_normalized_to_thirty_qubits(manager):
 def test_iterate_reaches_certainty_at_n4(manager):
     orc = oracle.compile_marked_set(manager, 2, [3])
     state = grover.initialize_state(manager, 2)
-    out = grover.grover_iterate(manager, orc, state,
-                                gates.diffusion(manager, 2))
+    out = manager.matvec(gates.diffusion(manager, 2), state, 2,
+                         orc.phase_vector)
     got = manager.to_dense(out, vector_space(2))
     assert np.max(np.abs(got - np.array([0, 0, 0, 1], dtype=complex))) < 1e-12
 
@@ -111,8 +111,8 @@ def test_iterate_reaches_certainty_at_n4(manager):
 def test_iterate_with_empty_oracle_fixes_uniform(manager):
     orc = oracle.compile_marked_set(manager, 3, [])
     state = grover.initialize_state(manager, 3)
-    out = grover.grover_iterate(manager, orc, state,
-                                gates.diffusion(manager, 3))
+    out = manager.matvec(gates.diffusion(manager, 3), state, 3,
+                         orc.phase_vector)
     assert abs(abs(manager.inner_product(out, state, 3)) - 1) < 1e-9
 
 
@@ -126,7 +126,7 @@ def test_iterate_follows_closed_form(k, marked):
     state = grover.initialize_state(m, k)
     unmarked = next(i for i in range(n) if i not in set(marked))
     for t in range(1, 7):
-        state = grover.grover_iterate(m, orc, state, diffusion)
+        state = m.matvec(diffusion, state, k, orc.phase_vector)
         up = math.sin((2 * t + 1) * theta) / math.sqrt(mc)
         down = math.cos((2 * t + 1) * theta) / math.sqrt(n - mc)
         assert abs(m.entry_at(state, marked[0], k) - up) < 1e-9
@@ -330,7 +330,7 @@ def full_walk_live_counts(k, marked, iterations):
     counts = []
     for t in range(iterations + 1):
         if t:
-            state = grover.grover_iterate(m, orc, state, diffusion)
+            state = m.matvec(diffusion, state, k, orc.phase_vector)
         counts.append(m.count_nodes(state, orc.phase_vector, indicator,
                                     diffusion).internal)
     return counts

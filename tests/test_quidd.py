@@ -118,7 +118,7 @@ def test_internal_ordering_enforced(manager):
 
 
 # ---------------------------------------------------------------------------
-# apply / scalar_mul
+# apply
 
 
 def test_apply_add_constants(manager):
@@ -186,15 +186,24 @@ def test_apply_with_a_terminal_operand_matches_dense(op, c, x):
 
 def test_scalar_mul_identity_and_annihilator(manager):
     v = manager.from_dense(np.array([-0.5, 0.5], dtype=complex), vector_space(1))
-    assert manager.scalar_mul(1.0, v) == v
-    assert manager.scalar_mul(0.0, v) == manager.terminal(0.0)
-    doubled = manager.to_dense(manager.scalar_mul(2.0, v), vector_space(1))
+    assert manager.apply("mul", manager.terminal(1.0), v) == v
+    assert manager.apply("mul", manager.terminal(0.0), v) == \
+        manager.terminal(0.0)
+    doubled = manager.to_dense(manager.apply("mul", manager.terminal(2.0), v),
+                               vector_space(1))
     assert np.array_equal(doubled, np.array([-1.0, 1.0], dtype=complex))
 
 
 def test_scalar_mul_rejects_non_finite(manager):
+    # A non-finite scale never becomes a terminal, and a product too
+    # large for the terminal grid is rejected where it would be interned.
     with pytest.raises(InvalidAmplitudeError):
-        manager.scalar_mul(float("nan"), manager.terminal(1.0))
+        manager.apply("mul", manager.terminal(float("nan")),
+                      manager.terminal(1.0))
+    v = manager.from_dense(np.array([1e150, -1e150], dtype=complex),
+                           vector_space(1))
+    with pytest.raises(InvalidAmplitudeError):
+        manager.apply("mul", manager.terminal(1e150), v)
 
 
 # ---------------------------------------------------------------------------

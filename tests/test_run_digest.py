@@ -1,9 +1,10 @@
 """Result digests of scripts/run_digest.py, pinned.
 
 The script hashes every ``comparable()`` record and every manager's
-``(nodes_created, size)`` over a fixed set of 44 Grover runs.  A change
-to either digest means results or node numbering moved; such a change
-must be deliberate, and this test then states the new digests.
+whole node store (``dump`` of every ref) over a fixed set of 44 Grover
+runs.  A change to either digest means results or the node store moved,
+node numbering and terminal values included; such a change must be
+deliberate, and this test then states the new digests.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from quiddsim import grover
 RUN_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "run_digest.py"
 
 RECORDS = "1eef2d0ed7ef73e2a70bdb1f0dff2abc966a2348d302638721c1f905efc8972e"
-NODES = "89b0464251df14adb172426961f447db57205d84922bfa414cabb70b2286e1af"
+NODES = "65bf68da714fe47ee65ebfdb34e6c59275f8f536cba770c628ae55e2151e0dee"
 
 
 def test_run_digest_at_the_default_collection_setting():
