@@ -9,9 +9,11 @@ subtree masses once, then draws any number of shots.
 
 Recording the trace allocates no node.  One inner product of the state
 with itself, masked by the marked-set indicator, gives both the success
-probability and the norm, and the live count walks only the state's
-nodes beyond the run's fixed diagrams (oracle phase, indicator,
-diffusion), whose own nodes are counted once per run.
+probability and the norm.  One walk of the state's nodes beyond the
+run's fixed diagrams (oracle phase, indicator, diffusion), whose own
+nodes are counted once per run, gives the live count, the state's span
+for the space checks and the terminals the run keeps when it sweeps
+the terminal table after the iteration.
 """
 
 from __future__ import annotations
@@ -186,25 +188,30 @@ def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
 
 def _stats(m: QuiddManager, t: int, state: int, indicator: int,
            marked_idx: int | None, unmarked_idx: int | None,
-           fixed: set, fixed_internal: int, k: int) -> IterationStats:
-    """The trace entry for ``state``; allocates no node.
+           fixed: set, fixed_internal: int,
+           k: int) -> tuple[IterationStats, list[int]]:
+    """The trace entry for ``state`` and the state's terminals beyond the
+    run's fixed diagrams; allocates no node.
 
+    The state is walked once (:meth:`QuiddManager.survey`), and only
+    beyond the fixed diagrams (oracle phase, indicator, diffusion):
+    ``fixed`` holds their nodes, ``fixed_internal`` how many are
+    internal, and the live count is the union of the state with them.
+    The walk also enters the state's span, so the space checks of the
+    calls that follow, and of the next iteration's matvec, walk nothing.
     One inner product of the state with itself, masked by the 0/1
     ``indicator``, gives the success probability (the masked sum) and
-    the squared norm (the full sum), so the masked state is never
-    built.  The live count is the union of the state with the run's
-    fixed diagrams (oracle phase, indicator, diffusion): ``fixed`` holds
-    their nodes, ``fixed_internal`` how many are internal, and only the
-    state's nodes beyond them are walked.
+    the squared norm (the full sum), so the masked state is never built.
     """
+    internal, terminals, _ = m.survey(state, fixed)
     marked_amp = (m.entry_at(state, marked_idx, k)
                   if marked_idx is not None else None)
     unmarked_amp = (m.entry_at(state, unmarked_idx, k)
                     if unmarked_idx is not None else None)
     p, norm_sq = m.inner_product(state, state, k, indicator)
     p = min(max(p.real, 0.0), 1.0)
-    live = fixed_internal + m.count_nodes(state, exclude=fixed).internal
-    return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq.real, live)
+    return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq.real,
+                          fixed_internal + internal), terminals
 
 
 def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
@@ -218,15 +225,21 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     +/-1, or a count that differs from ``oracle.marked_count``, raises
     :class:`OracleError` before any iteration.
 
-    Between iterations, once ``COLLECT_EVERY`` nodes have been created
-    since the last collection, and once more after the last iteration,
-    the run frees the nodes it allocated and no longer needs
-    (:meth:`QuiddManager.collect`, floored at the store size once the
-    run has built its fixed diagrams: diffusion and indicator).  So a
-    run adds to the manager only its fixed diagrams, the two
-    intermediate diagrams :func:`indicator_vector` builds on the way to
-    the indicator, the terminals it interned and the final state,
-    whatever the collection setting.
+    The run's floor is the store size once it has built its fixed
+    diagrams (diffusion and indicator).  After every iteration's trace
+    entry the run sweeps the terminal table
+    (:meth:`QuiddManager.sweep`): of the terminals above the floor that
+    the iteration made or the previous state reached, it drops those the
+    new state does not reach.  Once ``COLLECT_EVERY`` nodes have been
+    created since the last collection, and once more after the last
+    iteration, it frees the nodes above the floor that it no longer
+    needs (:meth:`QuiddManager.collect`), swept terminals included.
+    Sweeps do not depend on the collection setting, so neither do the
+    results or what the run leaves in the manager: its fixed diagrams,
+    the two intermediate diagrams :func:`indicator_vector` builds on the
+    way to the indicator, the final state, the diffusion's row sums and
+    the few terminals that were never swept, such as those of the
+    initial state's construction.
     Every ref issued before the run stays valid, and so does the
     returned ``final_state``; any other ref the run's own calls produced
     may have been freed or renumbered.
@@ -260,19 +273,24 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     collected_at = m.nodes_created
 
     state = initialize_state(m, k)
-    trace = [_stats(m, 0, state, indicator, marked_idx, unmarked_idx,
-                    fixed, fixed_internal, k)]
+    stats, terminals = _stats(m, 0, state, indicator, marked_idx,
+                              unmarked_idx, fixed, fixed_internal, k)
+    trace = [stats]
     queries = 0
     loop_start = time.perf_counter_ns()
     for t in range(1, iterations + 1):
         # One iteration: the diffusion times the oracle's phase product,
         # in one matvec that never builds the product.
+        since = m.size
         state = m.matvec(diffusion_ref, state, k, oracle.phase_vector)
         queries += 1
-        trace.append(_stats(m, t, state, indicator, marked_idx, unmarked_idx,
-                            fixed, fixed_internal, k))
+        stats, current = _stats(m, t, state, indicator, marked_idx,
+                                unmarked_idx, fixed, fixed_internal, k)
+        trace.append(stats)
+        m.sweep(floor, since, terminals, current)
+        terminals = current
         if m.nodes_created - collected_at >= COLLECT_EVERY:
-            floor, (state,) = m.collect(floor, (state,))
+            _, (state, *terminals) = m.collect(floor, (state, *terminals))
             collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
     _, (state,) = m.collect(floor, (state,))

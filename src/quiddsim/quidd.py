@@ -35,25 +35,31 @@ Node lifetime
 -------------
 Children always precede their parents in the node store, so nodes above
 a floor index are never referenced from below it.
-:meth:`QuiddManager.collect` frees the internal nodes above a floor that
-given roots do not reach and renumbers the survivors; refs below the
-floor are untouched and stay valid, refs above it are valid only as the
-renumbered roots it returns.  Terminals are permanent: a collection
-moves them below the raised floor but never frees one, so every grid
-cell keeps its first representative and results do not depend on when
-collections happen.
+:meth:`QuiddManager.collect` frees the nodes above a floor that given
+roots do not reach and renumbers the survivors; refs below the floor are
+untouched and stay valid, refs above it are valid only as the renumbered
+roots it returns.  A terminal leaves the store only after it has left
+the terminal table: :meth:`QuiddManager.sweep` drops the terminals a
+caller no longer reaches from the table (a cell met again gets a new
+representative), and the next collection frees them.  Every other
+terminal above the floor survives a collection whether or not a root
+reaches it, and no terminal below the floor is ever swept, so a cell's
+representative changes only at a sweep and results do not depend on
+when collections happen.
 
 Computed tables
 ---------------
 Each operation remembers its results in a computed table.  A table is
-emptied when it reaches ``CACHE_LIMIT`` entries and by every collection.
-The tables a product or an inner product fills last one call:
-:meth:`QuiddManager.matvec` empties the matvec, vector-sum, add and
-multiply tables when it starts, and :meth:`QuiddManager.inner_product`
-empties the inner-product table.  In a Grover run every iteration has a
-new state, so their entries would be dead by the next call anyway.  The
-row-sum table (keyed by gate blocks) and the span table last until the
-next collection.  Results never depend on what a table holds.
+emptied when it reaches ``CACHE_LIMIT`` entries.  The tables a product
+or an inner product fills last one call: :meth:`QuiddManager.matvec`
+empties the matvec, vector-sum, add and multiply tables when it starts,
+and :meth:`QuiddManager.inner_product` empties the inner-product table.
+In a Grover run every iteration has a new state, so their entries would
+be dead by the next call anyway.  The row-sum table (keyed by gate
+blocks) and the span table outlive a call.  A collection keeps the
+row-sum entries of gates below the floor, renumbering their results,
+and the span entries of refs below the floor, and empties the rest.
+Results never depend on what a table holds.
 
 A manager and every ref it issued are confined to one thread of control.
 Refs from different managers must never be mixed.
@@ -65,6 +71,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -187,17 +194,19 @@ class QuiddManager:
 
     Nodes are integer refs into four parallel arrays: variable, low
     child, high child and value (``None`` for internal nodes).
-    :meth:`collect` frees unreachable internal nodes above a floor;
+    :meth:`collect` frees unreachable nodes above a floor, terminals
+    only once :meth:`sweep` has dropped them from the terminal table;
     ``nodes_created`` counts every node ever interned, freed ones
     included.  Live-set sizes are measured by reachability from explicit
-    roots via :meth:`count_nodes`.  The space checks derive what they
-    need from the diagram itself (:meth:`_span`), through a computed
-    table like any other.  Each computed table is emptied once it holds
-    ``CACHE_LIMIT`` entries; those of :meth:`matvec` and
-    :meth:`inner_product` are also emptied when the call starts, and
-    only the row-sum and span tables outlive a call.  The zero
-    terminal's ref is kept on the manager for the kernels' shortcuts,
-    and :meth:`collect` renews it.  The manager takes no settings.
+    roots via :meth:`count_nodes` or :meth:`survey`.  The space checks
+    derive what they need from the diagram itself (:meth:`_span`),
+    through a computed table like any other.  Each computed table is
+    emptied once it holds ``CACHE_LIMIT`` entries; those of
+    :meth:`matvec` and :meth:`inner_product` are also emptied when the
+    call starts, and only the row-sum and span tables outlive a call.
+    The zero terminal's ref is kept on the manager for the kernels'
+    shortcuts, and :meth:`collect` renews it.  The manager takes no
+    settings.
     """
 
     def __init__(self):
@@ -220,6 +229,9 @@ class QuiddManager:
                        self._span_memo)
         self._freed = 0         # nodes released by collect()
         self._zero: int | None = None   # the terminal of cell (0, 0)
+        # Nodes the row-sum table's results reach, for sweep(); None
+        # once the table has changed since they were taken.
+        self._rs_reach: set | None = None
 
     # ------------------------------------------------------------------
     # construction and inspection
@@ -388,17 +400,14 @@ class QuiddManager:
     def _span(self, ref: int) -> tuple[int, bool]:
         """(largest variable or -1, any column variable) of a diagram.
 
-        The space checks all read it.  One walk per root, remembered in a
-        computed table, so a diagram checked by several calls is walked
-        once until the table is emptied.
+        The space checks all read it.  One walk per root (:meth:`survey`),
+        remembered in a computed table, so a diagram checked by several
+        calls is walked once until the table is emptied.
         """
         hit = self._span_memo.get(ref)
         if hit is not None:
             return hit
-        var, value = self._var, self._value
-        used = [var[n] for n in self.reachable(ref) if value[n] is None]
-        r = max(used, default=-1), any(v & 1 for v in used)
-        return self._remember(self._span_memo, ref, r)
+        return self.survey(ref)[2]
 
     def _check_vector(self, v: int, k: int) -> None:
         top, odd = self._span(v)
@@ -450,8 +459,7 @@ class QuiddManager:
         # level pass its partial sums upward without rewriting the deep
         # child, so a product against a mostly-constant gate touches each
         # result node once instead of once per level, and it keeps the
-        # uniform partial sums out of the terminal table, which
-        # collection never shrinks.
+        # uniform partial sums out of the terminal table.
         # Phase block p: folded into w where it turns constant, dropped if 1.
         value = self._value
         if p is not None and value[p] is not None:
@@ -580,6 +588,7 @@ class QuiddManager:
         hi = self._add(self._rowsum_rec(m1, g10, k),
                        self._rowsum_rec(m1, g11, k))
         r = self.node(rv, lo, hi)
+        self._rs_reach = None
         return self._remember(self._rs_memo, key, r)
 
     # ------------------------------------------------------------------
@@ -716,49 +725,111 @@ class QuiddManager:
                     stack.append(high[n])
         return seen
 
-    def count_nodes(self, *roots: int, exclude=frozenset()) -> NodeCount:
-        """Reachable internal and terminal node counts, deduplicated.
-
-        Nodes in ``exclude`` (a :meth:`reachable` set) are neither walked
-        nor counted, so a count against a fixed set of diagrams walks only
-        what lies beyond it.
-        """
-        seen = self.reachable(*roots, exclude=exclude)
+    def count_nodes(self, *roots: int) -> NodeCount:
+        """Reachable internal and terminal node counts, deduplicated."""
+        seen = self.reachable(*roots)
         value = self._value
         terminal = sum(1 for n in seen if value[n] is not None)
         return NodeCount(len(seen) - terminal, terminal)
 
+    def survey(self, root: int, exclude=frozenset()
+               ) -> tuple[int, list[int], tuple[int, bool]]:
+        """The internal-node count and the terminals of ``root`` beyond
+        ``exclude`` (a :meth:`reachable` set), and its span, from one walk.
+
+        The span (:meth:`_span`) is entered into the span table, so the
+        space checks of later calls on ``root`` walk nothing.  It is
+        exact where the walk stops at ``exclude``: each internal node of
+        ``exclude`` that the walk meets adds its own span.
+        """
+        value, var, low, high = self._value, self._var, self._low, self._high
+        seen = set()
+        met = set()             # internal nodes of exclude reached
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            if n in exclude:
+                if value[n] is None:
+                    met.add(n)
+                continue
+            seen.add(n)
+            if value[n] is None:
+                stack.append(low[n])
+                stack.append(high[n])
+        used = [var[n] for n in seen if value[n] is None]
+        top, odd = max(used, default=-1), any(v & 1 for v in used)
+        for n in met:
+            n_top, n_odd = self._span(n)
+            top, odd = max(top, n_top), odd or n_odd
+        span = self._remember(self._span_memo, root, (top, odd))
+        return len(used), [n for n in seen if value[n] is not None], span
+
     # ------------------------------------------------------------------
     # dead-node collection
 
+    def sweep(self, floor: int, since: int, previous, current) -> None:
+        """Drop from the terminal table the terminals a caller has left.
+
+        The candidates are the terminals at or above ``floor`` that are
+        in ``previous`` or were made at or after ref ``since``; only
+        those refs are scanned.  A candidate is dropped unless
+        ``current`` holds it, the row-sum table's results reach it, or it
+        is the zero terminal.  A dropped terminal stays in the store, out
+        of reach of new diagrams (its cell gets a new representative when
+        it is next met), until :meth:`collect` frees it.  So the caller
+        may keep no diagram above ``floor`` that reaches a candidate
+        outside ``current``.  Terminals below ``floor`` are never dropped:
+        refs there outlive every collection, and a second terminal in
+        their cell would break canonicity.
+        """
+        value = self._value
+        keep = {*current, self._zero}
+        dead = [n for n in chain(previous, range(since, len(value)))
+                if n >= floor and value[n] is not None and n not in keep]
+        if not dead:
+            return
+        reach = self._rs_reach
+        if reach is None:
+            reach = self._rs_reach = self.reachable(*self._rs_memo.values())
+        terminals = self._terminals
+        for n in dead:
+            if n not in reach:
+                del terminals[_grid_key(value[n])]
+
     def collect(self, floor: int,
                 roots: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """Free the internal nodes at or above ``floor`` that no root reaches.
+        """Free the nodes at or above ``floor`` that no root reaches.
 
-        Refs below ``floor`` are left as they are.  Terminals in the region
-        are kept and moved, in order, to its front; the surviving internal
-        nodes follow them, also in order.  Returns the raised floor, which
-        lies past every kept terminal, and the roots renumbered; every
-        other ref at or above the old floor is invalid afterwards.  The
-        computed tables are emptied, since their entries may name freed
-        refs.  The work is linear in the size of the region.
+        Refs below ``floor`` are left as they are.  The results of the
+        row-sum table's entries for gates below ``floor`` count as roots,
+        and so does every terminal still in the terminal table, so only
+        terminals :meth:`sweep` dropped are freed.  The survivors keep
+        their order and close up from ``floor``.  Returns ``floor`` and
+        the roots renumbered; every other ref at or above ``floor`` is
+        invalid afterwards.  The row-sum entries kept are renumbered, the
+        span entries of refs below ``floor`` are kept, and every other
+        computed-table entry is dropped, since it may name a freed ref.
+        The work is linear in the size of the region.
         """
         var, low, high, value = self._var, self._low, self._high, self._value
         size = len(var)
         if floor >= size:
             return floor, roots
+        row_sums = {key: r for key, r in self._rs_memo.items()
+                    if key[1] < floor}
+        spans = {r: s for r, s in self._span_memo.items() if r < floor}
         # Children precede parents, so the nodes below the floor are
         # closed under children and the walk can stop there.
-        live = self.reachable(*roots, exclude=range(floor))
+        live = self.reachable(*roots, *row_sums.values(), exclude=range(floor))
+        terminals = self._terminals
+        live.update(r for r in terminals.values() if r >= floor)
         unique = self._unique
         for key in zip(var[floor:], low[floor:], high[floor:]):
             unique.pop(key, None)       # terminal keys were never entered
-        region = range(floor, size)
-        terminals = [n for n, v in zip(region, value[floor:]) if v is not None]
-        survivors = sorted(n for n in live if value[n] is None)
-        kept = terminals + survivors
+        kept = sorted(live)
         moved = dict(zip(kept, range(floor, floor + len(kept))))
-        new_floor = floor + len(terminals)
         tails = ([var[n] for n in kept],
                  [moved.get(low[n], low[n]) for n in kept],
                  [moved.get(high[n], high[n]) for n in kept],
@@ -766,17 +837,19 @@ class QuiddManager:
         for lst, tail in zip((var, low, high, value), tails):
             del lst[floor:]
             lst.extend(tail)
-        # A terminal's grid key is a function of its stored value, the
-        # cell's first representative.
-        self._terminals.update(zip(map(_grid_key, value[floor:new_floor]),
-                                   range(floor, new_floor)))
-        self._zero = self._terminals.get((0, 0))
-        unique.update(zip(zip(var[new_floor:], low[new_floor:], high[new_floor:]),
-                          range(new_floor, len(var))))
+        terminals.update({key: moved[r] for key, r in terminals.items()
+                          if r >= floor})
+        self._zero = terminals.get((0, 0))
+        unique.update(((var[n], low[n], high[n]), n)
+                      for n in range(floor, len(var)) if value[n] is None)
         self._freed += size - len(var)
         for memo in self._memos:
             memo.clear()
-        return new_floor, tuple(moved.get(r, r) for r in roots)
+        self._rs_memo.update({key: moved.get(r, r)
+                              for key, r in row_sums.items()})
+        self._span_memo.update(spans)
+        self._rs_reach = None
+        return floor, tuple(moved.get(r, r) for r in roots)
 
     # ------------------------------------------------------------------
     # dense conversion

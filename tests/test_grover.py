@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quiddsim import dense, gates, grover, oracle
+from quiddsim import dense, gates, grover, oracle, quidd
 from quiddsim.grover import GroverParams, NoSolutionError
 from quiddsim.quidd import QuiddManager, SpaceMismatchError, vector_space
 
@@ -415,10 +415,10 @@ def test_per_call_tables_hold_one_iteration(monkeypatch):
 
 def test_run_interns_few_terminals_per_iteration(monkeypatch):
     # Collecting every 64 allocations leaves the store holding the run's
-    # live diagrams plus every terminal it interned (terminals are never
-    # freed).  Uniform matvec products stay in the symbolic offset, so a
-    # k=20 run adds about 4 terminals per iteration, not the 22 it would
-    # if each product were interned.
+    # live diagrams plus the terminals still in the terminal table: the
+    # swept ones are freed, so the store does not grow with the
+    # iteration count.  No sweep visits the 2k or so partial products of
+    # the initial state's construction.
     monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
     k = 20
     m = QuiddManager()
@@ -426,7 +426,77 @@ def test_run_interns_few_terminals_per_iteration(monkeypatch):
     fixed = m.size
     rec = grover.run(m, orc, GroverParams(k=k, shots=0))
     fixed += rec.peak_live_internal_nodes + grover.COLLECT_EVERY
-    assert m.size <= fixed + 6 * rec.iterations, (m.size, rec.iterations)
+    assert m.size <= fixed + 2 * k, (m.size, rec.iterations)
+
+
+def test_terminal_table_does_not_grow_with_the_iteration_count():
+    k = 14
+    sizes = []
+    for mult in (1, 4):
+        m = QuiddManager()
+        orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+        its = mult * grover.optimal_iterations(1 << k, 1)
+        grover.run(m, orc, GroverParams(k=k, iterations=its, shots=0))
+        sizes.append(len(m._terminals))
+    assert sizes[0] == sizes[1], sizes
+
+
+@pytest.mark.parametrize("every", [4096, 64])
+def test_run_leaves_the_terminal_table_and_the_store_in_agreement(
+        monkeypatch, every):
+    monkeypatch.setattr(grover, "COLLECT_EVERY", every)
+    k = 12
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, [5, 900, 2000])
+    before = m.size
+    grover.run(m, orc, GroverParams(
+        k=k, iterations=3 * grover.optimal_iterations(1 << k, 3), shots=2))
+    table = m._terminals
+    for key, ref in table.items():
+        assert m.is_terminal(ref) and quidd._grid_key(m.value(ref)) == key
+    stored = {n for n in range(before, m.size) if m.is_terminal(n)}
+    assert stored <= set(table.values())
+
+
+def test_run_never_sweeps_a_terminal_made_before_it():
+    # The initial state built before the run is a terminal below the
+    # run's floor; after the run its cell still maps to that ref.
+    k = 12
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, [5])
+    state = grover.initialize_state(m, k)
+    grover.run(m, orc, GroverParams(k=k, shots=1))
+    assert m.terminal(2 ** (-k / 2)) == state
+
+
+class SpanWatchManager(NeverFreeManager):
+    """Keeps each state the trace walks, with the span the walk enters."""
+
+    def __init__(self):
+        super().__init__()
+        self.spans = []
+
+    def survey(self, root, exclude=frozenset()):
+        got = super().survey(root, exclude)
+        if exclude:
+            self.spans.append((root, got[2]))
+        return got
+
+
+@pytest.mark.parametrize("k, marked, iterations", [
+    (2, [2], 3),            # the state becomes the indicator itself
+    (10, [3, 700], None),
+    (12, [5, 900, 2000], 60),
+])
+def test_trace_walk_enters_each_state_exact_span(k, marked, iterations):
+    m = SpanWatchManager()
+    orc = oracle.compile_marked_set(m, k, marked)
+    rec = grover.run(m, orc, GroverParams(k=k, iterations=iterations,
+                                          shots=0))
+    assert len(m.spans) == rec.iterations + 1      # one walk per state
+    for state, span in m.spans:
+        used = [m.var(n) for n in m.reachable(state) if not m.is_terminal(n)]
+        assert span == (max(used, default=-1), any(v & 1 for v in used))
 
 
 # ---------------------------------------------------------------------------

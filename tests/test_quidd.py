@@ -587,6 +587,21 @@ def test_count_nodes_uniform_state_is_single_terminal(manager):
     assert (c.internal, c.terminal) == (0, 1)
 
 
+def test_survey_span_reads_through_excluded_nodes(manager):
+    # Each vector's misfit part lies under a node the walk stops at, yet
+    # the span it enters still makes the space check raise.
+    m = manager
+    five = m.terminal(5)
+    deep = m.node(4, m.terminal(1), m.terminal(2))     # qubit 2 of 2
+    column = m.node(1, m.terminal(1), m.terminal(3))   # a column variable
+    for part, span in ((deep, (4, False)), (column, (1, True))):
+        v = m.node(0, part, five)
+        assert m.survey(v, m.reachable(part)) == (1, [five], span)
+        assert m._span_memo[v] == span
+        with pytest.raises(SpaceMismatchError):
+            m.entry_at(v, 0, 2)
+
+
 def test_subtree_sums_scale_skipped_levels(manager):
     # [1, 1, 2, 3] twice: qubit 0 is skipped above the root and qubit 2
     # below its low child.
@@ -818,35 +833,62 @@ def test_frequently_collected_run_leaves_a_well_formed_state(monkeypatch):
     assert_well_formed(m, rec.final_state)
 
 
-def test_collect_keeps_terminals_below_the_raised_floor():
+def test_collect_frees_swept_terminals_and_keeps_the_floor():
     m = QuiddManager()
     floor = m.size
+    quarter = m.terminal(0.25)              # in the table, reached by nothing
+    since = m.size
     one = m.terminal(1)
     half = m.terminal(0.5 + 1e-16)          # the cell's first representative
-    m.node(0, one, half)                    # dead
+    m.node(0, one, m.terminal(1 / 3))       # dead
     live = m.node(2, half, one)
+    m.sweep(floor, since, (), (half, one))  # drops the 1/3 terminal
     new_floor, (live,) = m.collect(floor, (live,))
-    assert (new_floor, m.size) == (floor + 2, floor + 3)
+    assert new_floor == floor
+    assert m.size == floor + 4              # quarter, one, half, live
+    assert m.terminal(0.25) == quarter
     one, half = m.terminal(1), m.terminal(0.5)
-    assert one < new_floor and half < new_floor
     assert m.value(half) == 0.5 + 1e-16
     assert m.dump(live).splitlines()[-1] == f"{live} 2 {half} {one}"
-    # The freed node's key is gone from the unique table: re-interning
-    # it makes a new node at the top of the store.
-    assert m.node(0, one, half) == m.size - 1 == live + 1
+    # The swept third was freed: the next one is made at the top.
+    assert m.terminal(1 / 3) == m.size - 1 == live + 1
 
 
-def test_collect_empties_computed_tables_and_stays_consistent():
+def test_sweep_keeps_the_zero_terminal_and_terminals_below_the_floor():
+    m = QuiddManager()
+    below = m.terminal(0.75)
+    floor = m.size
+    zero = m.terminal(0)
+    m.sweep(floor, 0, (below, zero), ())
+    assert m.terminal(0.75) == below
+    assert m.terminal(0) == zero
+    assert m.size == floor + 1
+
+
+def test_collect_keeps_row_sums_and_spans_and_stays_consistent():
     m = QuiddManager()
     rng = np.random.default_rng(12)
     g = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     floor = m.size
-    v = _random_vector(m, rng, 3)
+    # Equal neighbours give constant segments, so the row-sum table fills.
+    v = m.from_dense(np.repeat(rng.normal(size=4), 2).astype(complex),
+                     vector_space(3))
     w = m.matvec(g, v, 3)
     m.matvec(g, _random_vector(m, rng, 3), 3)
+    m.inner_product(v, w, 3)
     want = m.to_dense(w, vector_space(3))
+    row_sums = {key: m.to_dense(r, vector_space(3))
+                for key, r in m._rs_memo.items()}
+    assert row_sums and set(m._span_memo) > {g}
+    span = m._span_memo[g]
     floor, (v, w) = m.collect(floor, (v, w))
-    assert not any(m._memos)
+    assert not any((m._add_memo, m._mul_memo, m._mv_memo, m._vs_memo,
+                    m._ip_memo))
+    assert m._span_memo == {g: span}
+    assert m._rs_memo.keys() == row_sums.keys()
+    for key, r in m._rs_memo.items():
+        assert_well_formed(m, r)
+        assert np.array_equal(m.to_dense(r, vector_space(3)), row_sums[key])
     assert m.matvec(g, v, 3) == w
     assert np.array_equal(m.to_dense(w, vector_space(3)), want)
 

@@ -15,7 +15,7 @@ from quiddsim import grover
 RUN_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "run_digest.py"
 
 RECORDS = "1eef2d0ed7ef73e2a70bdb1f0dff2abc966a2348d302638721c1f905efc8972e"
-NODES = "65bf68da714fe47ee65ebfdb34e6c59275f8f536cba770c628ae55e2151e0dee"
+NODES = "47167f941b87f13dbb686474302a7cfcda4531cbcf92d53d4b18b09cd5d1547d"
 
 
 def test_run_digest_at_the_default_collection_setting():
