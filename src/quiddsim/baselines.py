@@ -1,26 +1,20 @@
 """Classical search baselines: linear scan, random probing, Schoening walk.
 
 These give the query counts that Grover runs are compared against.  The
-scan and the probing strategies work on abstract predicates over 0..N-1;
-the walk needs 3-CNF structure.  Every routine is deterministic given
+scan and the probing strategies work on abstract predicates over 0..N-1
+(any callable from an index to a bool, such as ``frozenset.__contains__``
+of a marked set); the walk needs 3-CNF structure.  Every routine is deterministic given
 its seed.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .cnf import CnfFormula, FormulaError, evaluate_bits, is_3cnf
 from .grover import optimal_iterations
-
-if TYPE_CHECKING:
-    import numpy as np
-
-_SCAN_BLOCK = 4096
 
 WITH_REPLACEMENT = "with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
@@ -35,52 +29,14 @@ class QueryLedger:
     index: int | None
 
 
-class MarkedSetPredicate:
-    """Membership test for an explicit marked set, with vectorized blocks.
-
-    Calls test one index in pure Python; numpy is imported only when
-    :meth:`eval_block` first runs.
-    """
-
-    def __init__(self, indices):
-        self.indices = frozenset(int(x) for x in indices)
-
-    def __call__(self, x: int) -> bool:
-        return x in self.indices
-
-    @functools.cached_property
-    def _sorted(self) -> np.ndarray:
-        import numpy as np
-        return np.array(sorted(self.indices), dtype=np.int64)
-
-    def eval_block(self, xs: np.ndarray) -> np.ndarray:
-        import numpy as np
-        if self._sorted.size == 0:
-            return np.zeros(len(xs), dtype=bool)
-        pos = np.searchsorted(self._sorted, xs)
-        pos = np.clip(pos, 0, self._sorted.size - 1)
-        return self._sorted[pos] == xs
-
-
 def deterministic_scan(predicate, n_items: int) -> QueryLedger:
     """Probe items 0, 1, ..., N-1 in order until the first hit.
 
     The ledger's query count is the 1-based position of the first marked
-    item.  With a predicate exposing ``eval_block``, probing runs in
-    vectorized blocks; the count is the same as for the one-at-a-time
-    loop.
+    item.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    if hasattr(predicate, "eval_block"):
-        import numpy as np
-        for start in range(0, n_items, _SCAN_BLOCK):
-            stop = min(start + _SCAN_BLOCK, n_items)
-            hits = predicate.eval_block(np.arange(start, stop, dtype=np.int64))
-            if hits.any():
-                j = int(np.argmax(hits))
-                return QueryLedger(start + j + 1, True, start + j)
-        return QueryLedger(n_items, False, None)
     for x in range(n_items):
         if predicate(x):
             return QueryLedger(x + 1, True, x)

@@ -11,10 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-# Most variables enumerate_models will walk: 2^20 assignments.
-ENUMERATION_VAR_CAP = 20
-
-
 class FormulaError(ValueError):
     """Structurally invalid CNF input."""
 
@@ -160,18 +156,6 @@ def evaluate_bits(formula: CnfFormula, bits) -> bool:
 
 def evaluate_index(formula: CnfFormula, index: int) -> bool:
     return evaluate_bits(formula, bits_from_index(index, formula.num_vars))
-
-
-def enumerate_models(formula: CnfFormula) -> list[int]:
-    """All satisfying indices by exhaustive enumeration (test oracle only).
-
-    Raises :class:`FormulaError` beyond ``ENUMERATION_VAR_CAP`` variables.
-    """
-    if formula.num_vars > ENUMERATION_VAR_CAP:
-        raise FormulaError(f"enumeration capped at {ENUMERATION_VAR_CAP}"
-                           f" variables, got {formula.num_vars}")
-    return [x for x in range(1 << formula.num_vars)
-            if evaluate_index(formula, x)]
 
 
 def _random_clause(num_vars: int, rng: random.Random) -> tuple[int, ...]:

@@ -290,10 +290,10 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
         m.sweep(floor, since, terminals, current)
         terminals = current
         if m.nodes_created - collected_at >= COLLECT_EVERY:
-            _, (state, *terminals) = m.collect(floor, (state, *terminals))
+            state, *terminals = m.collect(floor, (state, *terminals))
             collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
-    _, (state,) = m.collect(floor, (state,))
+    (state,) = m.collect(floor, (state,))
 
     measurements = ()
     if params.shots:
@@ -314,34 +314,3 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
         loop_ns=loop_ns,
         wall_ns=time.perf_counter_ns() - t_start,
     )
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    """Success-probability profile of a run: the peaks and what follows."""
-
-    success_probs: tuple[float, ...]
-    local_maxima: tuple[int, ...]
-    first_peak: int | None
-    declines_after_first_peak: bool
-
-
-def amplitude_trace_report(run_record: GroverRun) -> TraceReport:
-    """Locate strict local maxima of the per-iteration success series.
-
-    Endpoints count as maxima when they strictly beat their single
-    neighbour.  ``declines_after_first_peak`` demands a strict drop at
-    the iteration right after the first peak, the signature of running
-    past the ideal stopping point.
-    """
-    p = tuple(s.success_prob for s in run_record.trace)
-    maxima = []
-    last = len(p) - 1
-    for t in range(len(p)):
-        left_ok = t == 0 or p[t] > p[t - 1]
-        right_ok = t == last or p[t] > p[t + 1]
-        if left_ok and right_ok and len(p) > 1:
-            maxima.append(t)
-    first = maxima[0] if maxima else None
-    declines = first is not None and first < last and p[first + 1] < p[first]
-    return TraceReport(p, tuple(maxima), first, declines)

@@ -15,21 +15,20 @@ Conventions
   keeps matrix-vector products cheap on compressed operands.
 * The variable order is fixed and shared by all diagrams of a manager.
   The low edge is index bit 0, the high edge bit 1.
-* Bit 0 of an index is the most significant, so the dense array position
-  of a path equals the integer value of its bit string.
+* Bit 0 of an index is the most significant, so the position of a path
+  in the flat 2^k array equals the integer value of its bit string.
 * A node skipped on a path means the function ignores that bit: both
   branches would be equal, and the reduction rule removed the node.
 * Terminal values are interned on a 1e-15 grid per component (``GRID``);
   the first value seen in a grid cell is kept verbatim as the cell
   representative, so amplitudes are never rounded, only deduplicated.
-* Every entry that takes a qubit count or a :class:`VarSpace` checks that
-  its diagrams fit it and raises :class:`SpaceMismatchError` otherwise: a
-  vector may use only row variables below 2*k, a matrix only variables
-  below 2*k, and an elementwise operation may not pair a diagram that
-  uses column variables with one that does not, unless one of them is a
-  constant.  The checks read the whole diagram, not only
-  the paths a kernel visits, so a mis-sized part under a zero block is
-  caught too.
+* Every entry that takes a qubit count checks that its diagrams fit it
+  and raises :class:`SpaceMismatchError` otherwise: a vector may use only
+  row variables below 2*k, a matrix only variables below 2*k, and an
+  elementwise operation may not pair a diagram that uses column
+  variables with one that does not, unless one of them is a constant.
+  The checks read the whole diagram, not only the paths a kernel visits,
+  so a mis-sized part under a zero block is caught too.
 
 Node lifetime
 -------------
@@ -70,12 +69,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Sorts after every real decision variable, so terminals never win a
 # top-variable comparison.
@@ -87,11 +81,6 @@ TERMINAL_VAR = 1 << 30
 # amplitude perturb the state norm measurably once amplitudes shrink to
 # 2^(-k/2) at large k.
 GRID = 1e-15
-
-# Largest qubit counts a dense expansion may have: 2^20 vector entries,
-# 2^24 matrix entries.
-VECTOR_QUBIT_CAP = 20
-MATRIX_QUBIT_CAP = 12
 
 # Entries a computed table may hold before it is emptied.
 CACHE_LIMIT = 400_000
@@ -114,10 +103,6 @@ class VariableOrderError(QuiddError):
 
 class SpaceMismatchError(QuiddError):
     """Operands drawn from incompatible variable spaces."""
-
-
-class SizeCapError(QuiddError):
-    """Dense expansion request beyond the qubit cap."""
 
 
 class DiagramDepthError(QuiddError):
@@ -155,37 +140,6 @@ def _grid_key(z: complex) -> tuple[int, int]:
 
 
 NodeCount = namedtuple("NodeCount", "internal terminal")
-
-
-@dataclass(frozen=True)
-class VarSpace:
-    """Decision-variable layout for k qubits, either 'vector' or 'matrix'."""
-
-    kind: str
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in ("vector", "matrix"):
-            raise ValueError(f"unknown space kind: {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("qubit count must be >= 1")
-
-    @property
-    def levels(self) -> int:
-        """Number of decision levels in a path through a full diagram."""
-        return self.k if self.kind == "vector" else 2 * self.k
-
-    def var_at_level(self, level: int) -> int:
-        # Vectors sit on the even (row) variables only.
-        return 2 * level if self.kind == "vector" else level
-
-
-def vector_space(k: int) -> VarSpace:
-    return VarSpace("vector", k)
-
-
-def matrix_space(k: int) -> VarSpace:
-    return VarSpace("matrix", k)
 
 
 class QuiddManager:
@@ -798,17 +752,16 @@ class QuiddManager:
             if n not in reach:
                 del terminals[_grid_key(value[n])]
 
-    def collect(self, floor: int,
-                roots: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    def collect(self, floor: int, roots: tuple[int, ...]) -> tuple[int, ...]:
         """Free the nodes at or above ``floor`` that no root reaches.
 
         Refs below ``floor`` are left as they are.  The results of the
         row-sum table's entries for gates below ``floor`` count as roots,
         and so does every terminal still in the terminal table, so only
         terminals :meth:`sweep` dropped are freed.  The survivors keep
-        their order and close up from ``floor``.  Returns ``floor`` and
-        the roots renumbered; every other ref at or above ``floor`` is
-        invalid afterwards.  The row-sum entries kept are renumbered, the
+        their order and close up from ``floor``.  Returns the roots
+        renumbered; every other ref at or above ``floor`` is invalid
+        afterwards.  The row-sum entries kept are renumbered, the
         span entries of refs below ``floor`` are kept, and every other
         computed-table entry is dropped, since it may name a freed ref.
         The work is linear in the size of the region.
@@ -816,7 +769,7 @@ class QuiddManager:
         var, low, high, value = self._var, self._low, self._high, self._value
         size = len(var)
         if floor >= size:
-            return floor, roots
+            return roots
         row_sums = {key: r for key, r in self._rs_memo.items()
                     if key[1] < floor}
         spans = {r: s for r, s in self._span_memo.items() if r < floor}
@@ -849,76 +802,7 @@ class QuiddManager:
                               for key, r in row_sums.items()})
         self._span_memo.update(spans)
         self._rs_reach = None
-        return floor, tuple(moved.get(r, r) for r in roots)
-
-    # ------------------------------------------------------------------
-    # dense conversion
-
-    def from_dense(self, entries, space: VarSpace) -> int:
-        """Build a diagram from a dense numpy array (vector or matrix)."""
-        import numpy as np
-        arr = np.asarray(entries, dtype=np.complex128)
-        n = 1 << space.k
-        if space.kind == "vector":
-            if arr.shape != (n,):
-                raise SpaceMismatchError(
-                    f"expected shape ({n},), got {arr.shape}")
-            flat = arr
-        else:
-            if arr.shape != (n, n):
-                raise SpaceMismatchError(
-                    f"expected shape ({n}, {n}), got {arr.shape}")
-            # Interleave row and column bits into the flat path order.
-            axes = [ax for q in range(space.k) for ax in (q, space.k + q)]
-            flat = arr.reshape([2] * (2 * space.k)).transpose(axes).reshape(-1)
-        if not np.all(np.isfinite(flat)):
-            raise InvalidAmplitudeError("non-finite entries in dense input")
-        return self._build(flat, space, 0, 0, len(flat))
-
-    def _build(self, flat, space: VarSpace, level: int, lo: int, hi: int) -> int:
-        if level == space.levels:
-            return self.terminal(flat[lo])
-        mid = (lo + hi) >> 1
-        return self.node(space.var_at_level(level),
-                         self._build(flat, space, level + 1, lo, mid),
-                         self._build(flat, space, level + 1, mid, hi))
-
-    def to_dense(self, ref: int, space: VarSpace) -> np.ndarray:
-        """Expand a diagram into a dense numpy array.  Guarded by size caps."""
-        if space.kind == "vector":
-            self._check_vector(ref, space.k)
-            cap = VECTOR_QUBIT_CAP
-        else:
-            self._check_matrix(ref, space.k)
-            cap = MATRIX_QUBIT_CAP
-        if space.k > cap:
-            raise SizeCapError(
-                f"dense expansion of k={space.k} {space.kind} exceeds cap {cap}")
-        flat = self._expand(ref, 0, space, {})
-        if space.kind == "vector":
-            return flat
-        k = space.k
-        axes = [2 * q for q in range(k)] + [2 * q + 1 for q in range(k)]
-        return flat.reshape([2] * (2 * k)).transpose(axes).reshape(1 << k, 1 << k)
-
-    def _expand(self, n: int, level: int, space: VarSpace, memo: dict) -> np.ndarray:
-        import numpy as np
-        key = (n, level)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        v = self._value[n]
-        if v is not None:
-            out = np.full(1 << (space.levels - level), v, dtype=np.complex128)
-        elif self._var[n] > space.var_at_level(level):
-            half = self._expand(n, level + 1, space, memo)
-            out = np.concatenate([half, half])
-        else:
-            out = np.concatenate([
-                self._expand(self._low[n], level + 1, space, memo),
-                self._expand(self._high[n], level + 1, space, memo)])
-        memo[key] = out
-        return out
+        return tuple(moved.get(r, r) for r in roots)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from quiddsim import baselines, bench, cnf, dense, gates, grover, oracle
+from quiddsim import baselines, bench, cnf, gates, grover, oracle
 from quiddsim.bench import ExperimentConfig
-from quiddsim.quidd import QuiddManager, matrix_space, vector_space
+from quiddsim.quidd import QuiddManager
+
+import dense_ref as dense
+from dense_ref import (amplitude_trace_report, from_dense, matrix_space,
+                       to_dense, vector_space)
 
 
 @contextmanager
@@ -83,15 +87,15 @@ def test_criterion_01_two_qubit_diffusion_example(capfd):
     with verdict(1, "2-qubit diffusion maps (-1/2,1/2,1/2,1/2) to (1,0,0,0)"
                  " within 1e-12", capfd) as info:
         m = QuiddManager()
-        vec = m.from_dense([-0.5, 0.5, 0.5, 0.5], vector_space(2))
+        vec = from_dense(m, [-0.5, 0.5, 0.5, 0.5], vector_space(2))
         out = m.matvec(gates.diffusion(m, 2), vec, 2)
-        got = m.to_dense(out, vector_space(2))
+        got = to_dense(m, out, vector_space(2))
         err = float(np.max(np.abs(got - np.array([1, 0, 0, 0], dtype=complex))))
         info["detail"] = f"max entry error {err:.2e}"
         assert err <= 1e-12
         # Matches one hand-applied oracle step: the input above is the
         # uniform state after flipping the phase of index 0.
-        uniform = m.from_dense([0.5] * 4, vector_space(2))
+        uniform = from_dense(m, [0.5] * 4, vector_space(2))
         orc = oracle.compile_marked_set(m, 2, [0])
         flipped = grover.apply_oracle(m, orc, uniform)
         assert flipped == vec
@@ -218,7 +222,7 @@ def test_criterion_06_classical_query_means(capfd):
         for t in range(trials):
             pos = trial_rng(607, t).randrange(n)
             ledger = baselines.deterministic_scan(
-                baselines.MarkedSetPredicate([pos]), n)
+                frozenset([pos]).__contains__, n)
             assert ledger.found and ledger.index == pos
             total += ledger.queries
         scan_mean = total / trials
@@ -230,7 +234,7 @@ def test_criterion_06_classical_query_means(capfd):
         total2 = 0
         for t in range(trials2):
             rng = trial_rng(9013, t)
-            pred = baselines.MarkedSetPredicate(rng.sample(range(n2), count))
+            pred = frozenset(rng.sample(range(n2), count)).__contains__
             ledger = baselines.randomized_search(
                 pred, n2, baselines.WITHOUT_REPLACEMENT,
                 seed=rng.randrange(1 << 30))
@@ -314,18 +318,18 @@ def test_criterion_08_canonicity_norm_and_cache_identity(grid, capfd):
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ra, rb = m.from_dense(a, vs), m.from_dense(b, vs)
-            rm = m.from_dense(mat, ms)
+            ra, rb = from_dense(m, a, vs), from_dense(m, b, vs)
+            rm = from_dense(m, mat, ms)
             checks = [
-                (m.to_dense(ra, vs), a),
-                (m.to_dense(m.apply("add", ra, rb), vs), a + b),
-                (m.to_dense(m.apply("mul", ra, rb), vs), a * b),
-                (m.to_dense(m.apply("mul", m.terminal(0.5 - 2j), ra), vs),
+                (to_dense(m, ra, vs), a),
+                (to_dense(m, m.apply("add", ra, rb), vs), a + b),
+                (to_dense(m, m.apply("mul", ra, rb), vs), a * b),
+                (to_dense(m, m.apply("mul", m.terminal(0.5 - 2j), ra), vs),
                  (0.5 - 2j) * a),
-                (m.to_dense(m.matvec(rm, ra, k), vs), mat @ a),
-                (m.to_dense(gates.hadamard_all(m, k), ms),
+                (to_dense(m, m.matvec(rm, ra, k), vs), mat @ a),
+                (to_dense(m, gates.hadamard_all(m, k), ms),
                  dense.hadamard_matrix(k)),
-                (m.to_dense(gates.diffusion(m, k), ms),
+                (to_dense(m, gates.diffusion(m, k), ms),
                  dense.diffusion_matrix(k)),
             ]
             for got, want in checks:
@@ -333,8 +337,8 @@ def test_criterion_08_canonicity_norm_and_cache_identity(grid, capfd):
                                   float(np.max(np.abs(got - want))))
             # Canonicity: equal contents means equal references, whether
             # rebuilt from scratch or combined inside the diagram algebra.
-            assert m.from_dense(a, vs) == ra
-            assert m.from_dense(a + b, vs) == m.apply("add", ra, rb)
+            assert from_dense(m, a, vs) == ra
+            assert from_dense(m, a + b, vs) == m.apply("add", ra, rb)
             ip = m.inner_product(ra, rb, k)
             assert abs(ip - np.vdot(a, b)) <= 1e-9 * max(1.0, abs(ip))
         assert worst_dense <= 1e-12, worst_dense
@@ -372,7 +376,7 @@ def test_criterion_09_overrun_shows_multiple_peaks_then_decline(capfd):
         base = grover.optimal_iterations(64, 1)
         rec = grover.run(m, orc, grover.GroverParams(
             k=6, iterations=3 * base, shots=0))
-        report = grover.amplitude_trace_report(rec)
+        report = amplitude_trace_report(rec)
         info["detail"] = (f"maxima at t = {list(report.local_maxima)},"
                           f" first peak t = {report.first_peak}")
         assert len(report.local_maxima) >= 2

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from quiddsim import baselines
 from quiddsim.baselines import (
-    MarkedSetPredicate,
     QueryLedger,
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
@@ -41,44 +40,36 @@ class RecordingPredicate:
 
 
 def test_scan_first_position_costs_one_query():
-    led = deterministic_scan(MarkedSetPredicate([0]), 16)
+    led = deterministic_scan(frozenset([0]).__contains__, 16)
     assert led == QueryLedger(1, True, 0)
 
 
 def test_scan_reports_one_based_position():
-    led = deterministic_scan(MarkedSetPredicate([11]), 16)
+    led = deterministic_scan(frozenset([11]).__contains__, 16)
     assert led.queries == 12
     assert led.found and led.index == 11
 
 
 def test_scan_miss_consumes_all_items():
-    led = deterministic_scan(MarkedSetPredicate([]), 9)
+    led = deterministic_scan(frozenset().__contains__, 9)
     assert led == QueryLedger(9, False, None)
-
-
-def test_scan_blocked_and_plain_paths_agree_across_block_boundary():
-    # 8191 sits in the second 4096-item block of the vectorized path.
-    marked = MarkedSetPredicate([8191])
-    blocked = deterministic_scan(marked, 10000)
-    plain = deterministic_scan(marked.__call__, 10000)
-    assert blocked == plain == QueryLedger(8192, True, 8191)
 
 
 def test_scan_rejects_empty_range():
     with pytest.raises(ValueError):
-        deterministic_scan(MarkedSetPredicate([0]), 0)
+        deterministic_scan(frozenset([0]).__contains__, 0)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=255), min_size=1))
 def test_scan_cost_is_position_of_first_marked_item(marked):
-    led = deterministic_scan(MarkedSetPredicate(marked), 256)
+    led = deterministic_scan(frozenset(marked).__contains__, 256)
     assert led.queries == min(marked) + 1
     assert led.index == min(marked)
 
 
 def test_scan_mean_over_all_positions_is_half_n_plus_one():
     n = 64
-    costs = [deterministic_scan(MarkedSetPredicate([p]), n).queries
+    costs = [deterministic_scan(frozenset([p]).__contains__, n).queries
              for p in range(n)]
     assert statistics.mean(costs) == (n + 1) / 2
 
@@ -89,20 +80,20 @@ def test_scan_mean_over_all_positions_is_half_n_plus_one():
 
 def test_randomized_rejects_unknown_mode_and_empty_range():
     with pytest.raises(ValueError):
-        randomized_search(MarkedSetPredicate([0]), 4, "sideways")
+        randomized_search(frozenset([0]).__contains__, 4, "sideways")
     with pytest.raises(ValueError):
-        randomized_search(MarkedSetPredicate([0]), 0, WITH_REPLACEMENT)
+        randomized_search(frozenset([0]).__contains__, 0, WITH_REPLACEMENT)
 
 
 def test_randomized_all_marked_costs_one_query():
-    pred = MarkedSetPredicate(range(32))
+    pred = frozenset(range(32)).__contains__
     for mode in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         led = randomized_search(pred, 32, mode, seed=3)
         assert led.queries == 1 and led.found
 
 
 def test_randomized_is_reproducible_per_seed():
-    pred = MarkedSetPredicate([500])
+    pred = frozenset([500]).__contains__
     a = randomized_search(pred, 1 << 12, WITH_REPLACEMENT, seed=9)
     b = randomized_search(pred, 1 << 12, WITH_REPLACEMENT, seed=9)
     assert a == b
@@ -117,20 +108,20 @@ def test_without_replacement_visits_each_item_exactly_once():
 
 
 def test_with_replacement_respects_query_budget():
-    led = randomized_search(MarkedSetPredicate([]), 16, WITH_REPLACEMENT,
+    led = randomized_search(frozenset().__contains__, 16, WITH_REPLACEMENT,
                             seed=0, max_queries=25)
     assert led == QueryLedger(25, False, None)
 
 
 def test_without_replacement_budget_caps_below_n():
-    led = randomized_search(MarkedSetPredicate([]), 100, WITHOUT_REPLACEMENT,
+    led = randomized_search(frozenset().__contains__, 100, WITHOUT_REPLACEMENT,
                             seed=0, max_queries=7)
     assert led == QueryLedger(7, False, None)
 
 
 def test_without_replacement_mean_matches_negative_hypergeometric():
     n, m = 64, 4
-    pred = MarkedSetPredicate(range(0, n, n // m))
+    pred = frozenset(range(0, n, n // m)).__contains__
     trials = 4000
     mean = statistics.mean(
         randomized_search(pred, n, WITHOUT_REPLACEMENT, seed=t).queries
@@ -143,7 +134,7 @@ def test_without_replacement_mean_matches_negative_hypergeometric():
 
 def test_with_replacement_median_stays_near_geometric_law():
     n, m = 1 << 12, 16
-    pred = MarkedSetPredicate(range(0, n, n // m))
+    pred = frozenset(range(0, n, n // m)).__contains__
     meds = [randomized_search(pred, n, WITH_REPLACEMENT, seed=t).queries
             for t in range(20000)]
     assert statistics.median(meds) <= (n / (2 * m)) * 1.4

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quiddsim import dense
-from quiddsim.dense import SizeCapError
+import dense_ref as dense
+from dense_ref import SizeCapError
 
 
 def test_uniform_state_entries():

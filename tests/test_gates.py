@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiddsim import dense, gates, grover
+from quiddsim import gates, grover
 from quiddsim.gates import GateSizeError
-from quiddsim.quidd import (DiagramDepthError, QuiddError, QuiddManager,
-                            matrix_space, vector_space)
+from quiddsim.quidd import DiagramDepthError, QuiddError, QuiddManager
+
+import dense_ref as dense
+from dense_ref import from_dense, matrix_space, to_dense, vector_space
 
 
 def dense_power(m, matrix, k):
     """The k-fold tensor power of a 2x2 array, built through from_dense."""
-    return m.from_dense(functools.reduce(np.kron, [matrix] * k),
-                        matrix_space(k))
+    return from_dense(m, functools.reduce(np.kron, [matrix] * k),
+                      matrix_space(k))
 
 
 def phase_shift_about_zero(m, k):
@@ -41,14 +43,14 @@ GATE_BUILDERS = (gates.hadamard_all, phase_shift_about_zero, gates.diffusion)
 
 
 def test_hadamard_k1_definition(manager):
-    got = manager.to_dense(gates.hadamard_all(manager, 1), matrix_space(1))
+    got = to_dense(manager, gates.hadamard_all(manager, 1), matrix_space(1))
     s = 1 / math.sqrt(2)
     assert np.max(np.abs(got - np.array([[s, s], [s, -s]]))) < 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_hadamard_matches_dense_power(manager, k):
-    got = manager.to_dense(gates.hadamard_all(manager, k), matrix_space(k))
+    got = to_dense(manager, gates.hadamard_all(manager, k), matrix_space(k))
     assert np.max(np.abs(got - dense.hadamard_matrix(k))) < 1e-12
 
 
@@ -84,12 +86,12 @@ def test_gates_intern_like_the_dense_build():
     m, md = QuiddManager(), QuiddManager()
     for k in range(1, 7):
         g = gates.hadamard_all(m, k)
-        assert np.array_equal(m.to_dense(g, matrix_space(k)),
+        assert np.array_equal(to_dense(m, g, matrix_space(k)),
                               qubit_order_products(h1, k))
         d = gates.diffusion(md, k)
         sizes = m.size, md.size
         assert dense_power(m, np.array(h1), k) == g
-        assert md.from_dense(dense.diffusion_matrix(k), matrix_space(k)) == d
+        assert from_dense(md, dense.diffusion_matrix(k), matrix_space(k)) == d
         assert (m.size, md.size) == sizes
 
 
@@ -104,8 +106,8 @@ def test_diffusion_builds_three_nodes_per_qubit(k):
 
 
 def test_phase_shift_k1(manager):
-    got = manager.to_dense(phase_shift_about_zero(manager, 1),
-                           matrix_space(1))
+    got = to_dense(manager, phase_shift_about_zero(manager, 1),
+                   matrix_space(1))
     assert np.array_equal(got, np.diag([1, -1]).astype(complex))
 
 
@@ -118,8 +120,8 @@ def test_phase_shift_about_zero_matrix():
 def test_phase_shift_on_uniform_state(manager):
     k = 3
     p = phase_shift_about_zero(manager, k)
-    u = manager.from_dense(dense.uniform_state(k), vector_space(k))
-    got = manager.to_dense(manager.matvec(p, u, k), vector_space(k))
+    u = from_dense(manager, dense.uniform_state(k), vector_space(k))
+    got = to_dense(manager, manager.matvec(p, u, k), vector_space(k))
     expect = phase_shift_about_zero_matrix(k) @ dense.uniform_state(k)
     assert np.max(np.abs(got - expect)) < 1e-12
 
@@ -133,23 +135,23 @@ def test_phase_shift_diagonal_node_count(manager, k):
 
 
 def test_diffusion_worked_example(manager):
-    v = manager.from_dense(np.array([-0.5, 0.5, 0.5, 0.5], dtype=complex),
-                           vector_space(2))
+    v = from_dense(manager, np.array([-0.5, 0.5, 0.5, 0.5], dtype=complex),
+                   vector_space(2))
     d = gates.diffusion(manager, 2)
-    got = manager.to_dense(manager.matvec(d, v, 2), vector_space(2))
+    got = to_dense(manager, manager.matvec(d, v, 2), vector_space(2))
     assert np.array_equal(got, np.array([1, 0, 0, 0], dtype=complex))
 
 
 def test_diffusion_fixes_constant_vectors(manager):
     k = 4
     d = gates.diffusion(manager, k)
-    c = manager.from_dense(np.full(16, 0.25, dtype=complex), vector_space(k))
+    c = from_dense(manager, np.full(16, 0.25, dtype=complex), vector_space(k))
     assert manager.matvec(d, c, k) == c
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_diffusion_closed_form_entries(manager, k):
-    got = manager.to_dense(gates.diffusion(manager, k), matrix_space(k))
+    got = to_dense(manager, gates.diffusion(manager, k), matrix_space(k))
     n = 1 << k
     expect = np.full((n, n), 2 / n, dtype=complex) - np.eye(n)
     assert np.max(np.abs(got - expect)) < 1e-12
@@ -157,7 +159,7 @@ def test_diffusion_closed_form_entries(manager, k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_diffusion_is_self_inverse(manager, k):
-    d = manager.to_dense(gates.diffusion(manager, k), matrix_space(k))
+    d = to_dense(manager, gates.diffusion(manager, k), matrix_space(k))
     assert np.max(np.abs(d @ d - np.eye(1 << k))) < 1e-10
 
 
@@ -166,9 +168,9 @@ def test_diffusion_equals_hadamard_sandwich(manager):
     # construction up to the dense products' round-off.
     for k in (1, 2, 3, 5):
         ms = matrix_space(k)
-        h = manager.to_dense(gates.hadamard_all(manager, k), ms)
-        p = manager.to_dense(phase_shift_about_zero(manager, k), ms)
-        d = manager.to_dense(gates.diffusion(manager, k), ms)
+        h = to_dense(manager, gates.hadamard_all(manager, k), ms)
+        p = to_dense(manager, phase_shift_about_zero(manager, k), ms)
+        d = to_dense(manager, gates.diffusion(manager, k), ms)
         assert np.max(np.abs(h @ p @ h - d)) < 1e-12
 
 
@@ -176,7 +178,7 @@ def test_diffusion_equals_hadamard_sandwich(manager):
 def test_gates_are_unitary(manager, k):
     for build in GATE_BUILDERS:
         g = build(manager, k)
-        gd = manager.to_dense(g, matrix_space(k))
+        gd = to_dense(manager, g, matrix_space(k))
         assert np.max(np.abs(gd.conj().T @ gd - np.eye(1 << k))) < 1e-10
 
 
@@ -186,7 +188,7 @@ def test_gates_preserve_norm(k, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     v /= np.linalg.norm(v)
-    rv = m.from_dense(v, vector_space(k))
+    rv = from_dense(m, v, vector_space(k))
     for build in GATE_BUILDERS:
         g = build(m, k)
         out = m.matvec(g, rv, k)
@@ -196,8 +198,8 @@ def test_gates_preserve_norm(k, seed):
 def test_hadamard_self_inverse_by_reference(manager):
     # H H, multiplied on dense arrays, is the identity's node.
     for k in (1, 2, 4):
-        h = manager.to_dense(gates.hadamard_all(manager, k), matrix_space(k))
-        assert manager.from_dense(h @ h, matrix_space(k)) == \
+        h = to_dense(manager, gates.hadamard_all(manager, k), matrix_space(k))
+        assert from_dense(manager, h @ h, matrix_space(k)) == \
             dense_power(manager, np.eye(2), k)
 
 

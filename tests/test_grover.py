@@ -9,9 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quiddsim import dense, gates, grover, oracle, quidd
+from quiddsim import gates, grover, oracle, quidd
 from quiddsim.grover import GroverParams, NoSolutionError
-from quiddsim.quidd import QuiddManager, SpaceMismatchError, vector_space
+from quiddsim.quidd import QuiddManager, SpaceMismatchError
+
+import dense_ref as dense
+from dense_ref import (amplitude_trace_report, from_dense, to_dense,
+                       vector_space)
 
 
 def single_marked_run(k, index, **kw):
@@ -84,8 +88,8 @@ def test_initial_state_is_one_terminal(manager):
 def test_initial_state_matches_dense_by_reference(manager):
     for k in range(1, 11):
         state = grover.initialize_state(manager, k)
-        assert state == manager.from_dense(dense.uniform_state(k),
-                                           vector_space(k))
+        assert state == from_dense(manager, dense.uniform_state(k),
+                                   vector_space(k))
 
 
 def test_initial_state_normalized_to_thirty_qubits(manager):
@@ -104,7 +108,7 @@ def test_iterate_reaches_certainty_at_n4(manager):
     state = grover.initialize_state(manager, 2)
     out = manager.matvec(gates.diffusion(manager, 2), state, 2,
                          orc.phase_vector)
-    got = manager.to_dense(out, vector_space(2))
+    got = to_dense(manager, out, vector_space(2))
     assert np.max(np.abs(got - np.array([0, 0, 0, 1], dtype=complex))) < 1e-12
 
 
@@ -183,7 +187,7 @@ def test_run_rejects_an_oracle_its_phase_vector_contradicts(manager):
     miscounted = oracle.Oracle(good.phase_vector, 4, 5, good.provenance)
     with pytest.raises(oracle.OracleError, match="claims 5 .* marks 1"):
         grover.run(manager, miscounted, GroverParams(k=4))
-    phases = manager.from_dense([2, 3, -1, 1], vector_space(2))
+    phases = from_dense(manager, [2, 3, -1, 1], vector_space(2))
     not_phases = oracle.Oracle(phases, 2, 1,
                                oracle.Predicate(2, marked=frozenset({2})))
     with pytest.raises(oracle.OracleError, match="not \\+/-1"):
@@ -206,7 +210,7 @@ def test_run_trace_matches_dense_reference():
         assert len(rec.trace) == rec.iterations + 1
         for t, stats in enumerate(rec.trace):
             assert abs(stats.success_prob - ref.success_probs[t]) < 1e-9
-        final = m.to_dense(rec.final_state, vector_space(k))
+        final = to_dense(m, rec.final_state, vector_space(k))
         assert np.max(np.abs(final - ref.states[-1])) < 1e-9
 
 
@@ -260,7 +264,7 @@ class NeverFreeManager(QuiddManager):
     """A manager that never frees a node: collect() hands back its inputs."""
 
     def collect(self, floor, roots):
-        return floor, roots
+        return roots
 
 
 def _spread_marked(k, count):
@@ -297,8 +301,8 @@ def test_frequent_collection_keeps_refs_and_results(monkeypatch):
     assert m.size < plain.size
     # Refs issued before the run are untouched; the final state is valid.
     assert m.dump(orc.phase_vector) == before
-    assert np.array_equal(m.to_dense(rec.final_state, vector_space(k)),
-                          plain.to_dense(want.final_state, vector_space(k)))
+    assert np.array_equal(to_dense(m, rec.final_state, vector_space(k)),
+                          to_dense(plain, want.final_state, vector_space(k)))
     again = grover.run(m, orc, GroverParams(k=k, shots=8))
     assert again.comparable() == want.comparable()
 
@@ -504,7 +508,7 @@ def test_trace_walk_enters_each_state_exact_span(k, marked, iterations):
 
 
 def test_measure_basis_state(manager):
-    v = manager.from_dense(dense.basis_state(3, 5), vector_space(3))
+    v = from_dense(manager, dense.basis_state(3, 5), vector_space(3))
     rng = random.Random(0)
     assert all(grover.measure(manager, v, 3, rng) == 5 for _ in range(20))
 
@@ -536,7 +540,7 @@ def test_measure_does_not_mutate(manager):
 
 
 def test_sampler_rejects_a_state_deeper_than_k(manager):
-    v = manager.from_dense(np.arange(16.0) + 1, vector_space(4))
+    v = from_dense(manager, np.arange(16.0) + 1, vector_space(4))
     with pytest.raises(SpaceMismatchError):
         grover.sampler(manager, v, 3)
 
@@ -606,7 +610,7 @@ def small_states(draw):
 def test_sampler_draws_equal_per_call_measure(state, seed):
     k, entries = state
     m = QuiddManager()
-    v = m.from_dense(np.array(entries, dtype=complex), vector_space(k))
+    v = from_dense(m, np.array(entries, dtype=complex), vector_space(k))
     draw = grover.sampler(m, v, k)
     rng_a, rng_b = random.Random(seed), random.Random(seed)
     got = [draw(rng_a) for _ in range(25)]
@@ -637,7 +641,7 @@ def test_trace_report_n4_overrun():
     probs = [s.success_prob for s in rec.trace]
     assert probs[1] == pytest.approx(1.0, abs=1e-12)
     assert probs[2] < probs[1]
-    report = grover.amplitude_trace_report(rec)
+    report = amplitude_trace_report(rec)
     assert report.first_peak == 1
     assert report.declines_after_first_peak
 
@@ -646,7 +650,7 @@ def test_trace_report_three_times_optimal():
     k = 6
     r_opt = grover.optimal_iterations(64, 1)
     _, _, rec = single_marked_run(k, 11, iterations=3 * r_opt)
-    report = grover.amplitude_trace_report(rec)
+    report = amplitude_trace_report(rec)
     assert len(report.local_maxima) >= 2
     assert report.declines_after_first_peak
     assert max(report.success_probs) > 0.99

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiddsim import cnf, dense, oracle
+from quiddsim import cnf, oracle
 from quiddsim.cnf import CnfFormula
 from quiddsim.oracle import OracleError, Predicate
-from quiddsim.quidd import (DiagramDepthError, QuiddManager,
-                             SpaceMismatchError, vector_space)
+from quiddsim.quidd import DiagramDepthError, QuiddManager, SpaceMismatchError
+
+import dense_ref as dense
+from dense_ref import enumerate_models, from_dense, to_dense, vector_space
 
 
 def phase_entries(m, orc):
-    return m.to_dense(orc.phase_vector, vector_space(orc.k))
+    return to_dense(m, orc.phase_vector, vector_space(orc.k))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def test_conjunction_of_unit_clauses(manager):
 def test_random_3cnf_model_count_matches_brute_force(manager):
     f = cnf.random_3cnf(num_vars=10, num_clauses=30, seed=4)
     orc = oracle.compile_cnf(manager, f)
-    models = cnf.enumerate_models(f)
+    models = enumerate_models(f)
     assert orc.marked_count == len(models)
     got = phase_entries(manager, orc)
     for x in range(1 << 10):
@@ -217,14 +219,14 @@ def test_model_count_random_37_of_k12(manager):
 
 def test_apply_oracle_empty_set_is_reference_neutral(manager):
     orc = oracle.compile_marked_set(manager, 4, [])
-    v = manager.from_dense(np.arange(16, dtype=complex), vector_space(4))
+    v = from_dense(manager, np.arange(16, dtype=complex), vector_space(4))
     assert oracle.apply_oracle(manager, orc, v) == v
 
 
 def test_apply_oracle_on_uniform_state(manager):
     orc = oracle.compile_marked_set(manager, 2, [3])
-    u = manager.from_dense(dense.uniform_state(2), vector_space(2))
-    got = manager.to_dense(oracle.apply_oracle(manager, orc, u), vector_space(2))
+    u = from_dense(manager, dense.uniform_state(2), vector_space(2))
+    got = to_dense(manager, oracle.apply_oracle(manager, orc, u), vector_space(2))
     assert np.max(np.abs(got - np.array([0.5, 0.5, 0.5, -0.5]))) < 1e-12
 
 
@@ -233,22 +235,22 @@ def test_apply_oracle_matches_dense_product(manager):
     v = rng.normal(size=64) + 1j * rng.normal(size=64)
     marked = [3, 17, 40, 41]
     orc = oracle.compile_marked_set(manager, 6, marked)
-    rv = manager.from_dense(v, vector_space(6))
-    got = manager.to_dense(oracle.apply_oracle(manager, orc, rv), vector_space(6))
+    rv = from_dense(manager, v, vector_space(6))
+    got = to_dense(manager, oracle.apply_oracle(manager, orc, rv), vector_space(6))
     assert np.max(np.abs(got - v * dense.phase_vector(6, marked))) < 1e-12
 
 
 def test_apply_oracle_is_involution(manager):
     orc = oracle.compile_marked_set(manager, 5, [1, 2, 30])
     rng = np.random.default_rng(15)
-    v = manager.from_dense(rng.normal(size=32).astype(complex), vector_space(5))
+    v = from_dense(manager, rng.normal(size=32).astype(complex), vector_space(5))
     once = oracle.apply_oracle(manager, orc, v)
     assert oracle.apply_oracle(manager, orc, once) == v
 
 
 def test_indicator_vector(manager):
     orc = oracle.compile_marked_set(manager, 3, [2, 6])
-    got = manager.to_dense(oracle.indicator_vector(manager, orc), vector_space(3))
+    got = to_dense(manager, oracle.indicator_vector(manager, orc), vector_space(3))
     assert np.array_equal(got, np.array([0, 0, 1, 0, 0, 0, 1, 0], dtype=complex))
 
 
@@ -314,7 +316,7 @@ def test_index_search_finds_the_smallest_match(k, data):
 
 
 def test_phase_terminal_other_than_plus_minus_one_is_rejected(manager):
-    ref = manager.from_dense([1, 0.5], vector_space(1))
+    ref = from_dense(manager, [1, 0.5], vector_space(1))
     with pytest.raises(OracleError, match="not \\+/-1"):
         oracle._count_marked(manager, ref, 1)
 

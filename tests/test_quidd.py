@@ -16,12 +16,12 @@ from quiddsim.quidd import (
     InvalidAmplitudeError,
     MaskError,
     QuiddManager,
-    SizeCapError,
     SpaceMismatchError,
     VariableOrderError,
-    matrix_space,
-    vector_space,
 )
+
+from dense_ref import (SizeCapError, from_dense, matrix_space, to_dense,
+                       vector_space)
 
 amplitudes = st.builds(
     complex,
@@ -128,18 +128,18 @@ def test_apply_add_constants(manager):
 
 
 def test_apply_mul_by_one_is_reference_neutral(manager):
-    v = manager.from_dense(np.array([1, 2, 3, 4], dtype=complex), vector_space(2))
+    v = from_dense(manager, np.array([1, 2, 3, 4], dtype=complex), vector_space(2))
     assert manager.apply("mul", v, manager.terminal(1.0)) == v
     assert manager.apply("mul", manager.terminal(1.0), v) == v
 
 
 def test_apply_add_zero_is_reference_neutral(manager):
-    v = manager.from_dense(np.array([1, 2, 3, 4], dtype=complex), vector_space(2))
+    v = from_dense(manager, np.array([1, 2, 3, 4], dtype=complex), vector_space(2))
     assert manager.apply("add", v, manager.terminal(0.0)) == v
 
 
 def test_apply_mul_by_zero_annihilates(manager):
-    v = manager.from_dense(np.array([1, 2, 3, 4], dtype=complex), vector_space(2))
+    v = from_dense(manager, np.array([1, 2, 3, 4], dtype=complex), vector_space(2))
     assert manager.apply("mul", v, manager.terminal(0.0)) == manager.terminal(0.0)
 
 
@@ -150,8 +150,8 @@ def test_apply_rejects_unknown_op(manager):
 
 
 def test_apply_rejects_mixed_spaces(manager):
-    v = manager.from_dense(np.array([1, 0], dtype=complex), vector_space(1))
-    g = manager.from_dense(np.eye(2, dtype=complex), matrix_space(1))
+    v = from_dense(manager, np.array([1, 0], dtype=complex), vector_space(1))
+    g = from_dense(manager, np.eye(2, dtype=complex), matrix_space(1))
     with pytest.raises(SpaceMismatchError):
         manager.apply("add", v, g)
 
@@ -159,10 +159,10 @@ def test_apply_rejects_mixed_spaces(manager):
 @given(a=dense_vectors(3), b=dense_vectors(3))
 def test_apply_matches_dense_elementwise(a, b):
     m = QuiddManager()
-    ra = m.from_dense(a, vector_space(3))
-    rb = m.from_dense(b, vector_space(3))
-    got_add = m.to_dense(m.apply("add", ra, rb), vector_space(3))
-    got_mul = m.to_dense(m.apply("mul", ra, rb), vector_space(3))
+    ra = from_dense(m, a, vector_space(3))
+    rb = from_dense(m, b, vector_space(3))
+    got_add = to_dense(m, m.apply("add", ra, rb), vector_space(3))
+    got_mul = to_dense(m, m.apply("mul", ra, rb), vector_space(3))
     assert np.max(np.abs(got_add - (a + b))) < 1e-12
     assert np.max(np.abs(got_mul - a * b)) < 1e-12
 
@@ -173,24 +173,24 @@ def test_apply_matches_dense_elementwise(a, b):
 @example(c=1 + 0j, x=np.arange(8, dtype=complex))
 def test_apply_with_a_terminal_operand_matches_dense(op, c, x):
     m = QuiddManager()
-    rx = m.from_dense(x, vector_space(3))
+    rx = from_dense(m, x, vector_space(3))
     rc = m.terminal(c)
     # apply combines with the grid cell's representative, one Python
     # complex at a time (numpy's vector multiply may round differently).
     cv = m.value(rc)
     dense = [cv + complex(v) if op == "add" else cv * complex(v) for v in x]
-    want = m.from_dense(dense, vector_space(3))
+    want = from_dense(m, dense, vector_space(3))
     assert m.apply(op, rc, rx) == want
     assert m.apply(op, rx, rc) == want
 
 
 def test_scalar_mul_identity_and_annihilator(manager):
-    v = manager.from_dense(np.array([-0.5, 0.5], dtype=complex), vector_space(1))
+    v = from_dense(manager, np.array([-0.5, 0.5], dtype=complex), vector_space(1))
     assert manager.apply("mul", manager.terminal(1.0), v) == v
     assert manager.apply("mul", manager.terminal(0.0), v) == \
         manager.terminal(0.0)
-    doubled = manager.to_dense(manager.apply("mul", manager.terminal(2.0), v),
-                               vector_space(1))
+    doubled = to_dense(manager, manager.apply("mul", manager.terminal(2.0), v),
+                       vector_space(1))
     assert np.array_equal(doubled, np.array([-1.0, 1.0], dtype=complex))
 
 
@@ -200,8 +200,8 @@ def test_scalar_mul_rejects_non_finite(manager):
     with pytest.raises(InvalidAmplitudeError):
         manager.apply("mul", manager.terminal(float("nan")),
                       manager.terminal(1.0))
-    v = manager.from_dense(np.array([1e150, -1e150], dtype=complex),
-                           vector_space(1))
+    v = from_dense(manager, np.array([1e150, -1e150], dtype=complex),
+                   vector_space(1))
     with pytest.raises(InvalidAmplitudeError):
         manager.apply("mul", manager.terminal(1e150), v)
 
@@ -211,16 +211,17 @@ def test_scalar_mul_rejects_non_finite(manager):
 
 
 def test_matvec_identity_is_reference_neutral(manager):
-    v = manager.from_dense(np.arange(8, dtype=complex), vector_space(3))
-    i3 = manager.from_dense(np.eye(8, dtype=complex), matrix_space(3))
+    v = from_dense(manager, np.arange(8, dtype=complex), vector_space(3))
+    i3 = from_dense(manager, np.eye(8, dtype=complex), matrix_space(3))
     assert manager.matvec(i3, v, 3) == v
 
 
 def test_matvec_hadamard_on_basis(manager):
-    h = manager.from_dense(
-        np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), matrix_space(1))
-    zero = manager.from_dense(np.array([1, 0], dtype=complex), vector_space(1))
-    got = manager.to_dense(manager.matvec(h, zero, 1), vector_space(1))
+    h = from_dense(
+        manager, np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+        matrix_space(1))
+    zero = from_dense(manager, np.array([1, 0], dtype=complex), vector_space(1))
+    got = to_dense(manager, manager.matvec(h, zero, 1), vector_space(1))
     s = 1 / math.sqrt(2)
     assert np.max(np.abs(got - np.array([s, s]))) < 1e-12
 
@@ -228,9 +229,9 @@ def test_matvec_hadamard_on_basis(manager):
 @given(g=dense_matrices(3), v=dense_vectors(3))
 def test_matvec_matches_dense(g, v):
     m = QuiddManager()
-    rg = m.from_dense(g, matrix_space(3))
-    rv = m.from_dense(v, vector_space(3))
-    got = m.to_dense(m.matvec(rg, rv, 3), vector_space(3))
+    rg = from_dense(m, g, matrix_space(3))
+    rv = from_dense(m, v, vector_space(3))
+    got = to_dense(m, m.matvec(rg, rv, 3), vector_space(3))
     assert np.max(np.abs(got - g @ v)) < 1e-12
 
 
@@ -242,22 +243,22 @@ def test_matvec_handles_constant_blocks_exactly(manager):
     g[2:6, 8:12] = rng.normal(size=(4, 4))
     v = np.full(16, 0.5, dtype=complex)
     v[3:11] = rng.normal(size=8)
-    rg = manager.from_dense(g, matrix_space(k))
-    rv = manager.from_dense(v, vector_space(k))
-    got = manager.to_dense(manager.matvec(rg, rv, k), vector_space(k))
+    rg = from_dense(manager, g, matrix_space(k))
+    rv = from_dense(manager, v, vector_space(k))
+    got = to_dense(manager, manager.matvec(rg, rv, k), vector_space(k))
     assert np.max(np.abs(got - g @ v)) < 1e-12
 
 
 def test_matvec_rejects_swapped_operands(manager):
-    v = manager.from_dense(np.arange(4, dtype=complex), vector_space(2))
-    g = manager.from_dense(np.diag([1, 2, 3, 4]).astype(complex), matrix_space(2))
+    v = from_dense(manager, np.arange(4, dtype=complex), vector_space(2))
+    g = from_dense(manager, np.diag([1, 2, 3, 4]).astype(complex), matrix_space(2))
     with pytest.raises(SpaceMismatchError):
         manager.matvec(v, g, 2)
 
 
 def test_matvec_rejects_oversized_vector(manager):
-    v = manager.from_dense(np.arange(8, dtype=complex), vector_space(3))
-    g = manager.from_dense(np.eye(2, dtype=complex), matrix_space(1))
+    v = from_dense(manager, np.arange(8, dtype=complex), vector_space(3))
+    g = from_dense(manager, np.eye(2, dtype=complex), matrix_space(1))
     with pytest.raises(SpaceMismatchError):
         manager.matvec(g, v, 1)
 
@@ -270,37 +271,37 @@ def test_matvec_rejects_oversized_vector(manager):
 DEEP2 = [1, 1, 2, 3]        # two qubits; deep only in the high half
 EXACT_SPACE_CASES = {
     "matvec-vector-deep-under-zero-gate-block": lambda m: m.matvec(
-        m.from_dense([[1, 0], [0, 0]], matrix_space(1)),
-        m.from_dense(DEEP2, vector_space(2)), 1),
+        from_dense(m, [[1, 0], [0, 0]], matrix_space(1)),
+        from_dense(m, DEEP2, vector_space(2)), 1),
     "matvec-gate-deep-under-zero-vector": lambda m: m.matvec(
-        m.from_dense([[1, 1, 1, 2], [1, 1, 3, 4]] * 2, matrix_space(2)),
-        m.from_dense([1, 0], vector_space(1)), 1),
+        from_dense(m, [[1, 1, 1, 2], [1, 1, 3, 4]] * 2, matrix_space(2)),
+        from_dense(m, [1, 0], vector_space(1)), 1),
     "matvec-phase-deeper-than-k": lambda m: m.matvec(
-        m.from_dense([[1, 0], [0, 1]], matrix_space(1)),
-        m.from_dense([1, 2], vector_space(1)), 1,
-        m.from_dense(DEEP2, vector_space(2))),
+        from_dense(m, [[1, 0], [0, 1]], matrix_space(1)),
+        from_dense(m, [1, 2], vector_space(1)), 1,
+        from_dense(m, DEEP2, vector_space(2))),
     "matvec-phase-uses-column-variables": lambda m: m.matvec(
-        m.from_dense([[1, 0], [0, 1]], matrix_space(1)),
-        m.from_dense([1, 2], vector_space(1)), 1,
-        m.from_dense([[1, 1], [2, 3]], matrix_space(1))),
+        from_dense(m, [[1, 0], [0, 1]], matrix_space(1)),
+        from_dense(m, [1, 2], vector_space(1)), 1,
+        from_dense(m, [[1, 1], [2, 3]], matrix_space(1))),
     "matvec-phase-deep-under-zero-gate-block": lambda m: m.matvec(
-        m.from_dense([[1, 0], [0, 0]], matrix_space(1)),
-        m.from_dense([1, 2], vector_space(1)), 1,
-        m.from_dense(DEEP2, vector_space(2))),
+        from_dense(m, [[1, 0], [0, 0]], matrix_space(1)),
+        from_dense(m, [1, 2], vector_space(1)), 1,
+        from_dense(m, DEEP2, vector_space(2))),
     "inner_product-deep-under-zero-operand": lambda m: m.inner_product(
-        m.from_dense([1, 0], vector_space(1)),
-        m.from_dense(DEEP2, vector_space(2)), 1),
+        from_dense(m, [1, 0], vector_space(1)),
+        from_dense(m, DEEP2, vector_space(2)), 1),
     "inner_product-operand-deep-under-zero-mask": lambda m: m.inner_product(
-        m.from_dense(DEEP2, vector_space(2)),
-        m.from_dense(DEEP2, vector_space(2)), 1,
-        m.from_dense([1, 0], vector_space(1))),
+        from_dense(m, DEEP2, vector_space(2)),
+        from_dense(m, DEEP2, vector_space(2)), 1,
+        from_dense(m, [1, 0], vector_space(1))),
     "inner_product-mask-deep-under-zero-operand": lambda m: m.inner_product(
-        m.from_dense([1, 0], vector_space(1)),
-        m.from_dense([1, 0], vector_space(1)), 1,
-        m.from_dense([1, 1, 0, 1], vector_space(2))),
+        from_dense(m, [1, 0], vector_space(1)),
+        from_dense(m, [1, 0], vector_space(1)), 1,
+        from_dense(m, [1, 1, 0, 1], vector_space(2))),
     "apply-column-variable-under-zero-operand": lambda m: m.apply(
-        "mul", m.from_dense([0, 1], vector_space(1)),
-        m.from_dense([[1, 2], [3, 3]], matrix_space(1))),
+        "mul", from_dense(m, [0, 1], vector_space(1)),
+        from_dense(m, [[1, 2], [3, 3]], matrix_space(1))),
 }
 
 
@@ -312,19 +313,19 @@ def test_space_checks_read_parts_the_kernels_skip(manager, call):
 
 
 def test_inner_product_basics(manager):
-    zero = manager.from_dense(np.array([1, 0], dtype=complex), vector_space(1))
-    one = manager.from_dense(np.array([0, 1], dtype=complex), vector_space(1))
+    zero = from_dense(manager, np.array([1, 0], dtype=complex), vector_space(1))
+    one = from_dense(manager, np.array([0, 1], dtype=complex), vector_space(1))
     assert manager.inner_product(zero, one, 1) == 0
-    uniform = manager.from_dense(np.full(8, 1 / math.sqrt(8), dtype=complex),
-                                 vector_space(3))
+    uniform = from_dense(manager, np.full(8, 1 / math.sqrt(8), dtype=complex),
+                         vector_space(3))
     assert abs(manager.inner_product(uniform, uniform, 3) - 1) < 1e-9
 
 
 @given(u=dense_vectors(3), v=dense_vectors(3))
 def test_inner_product_matches_vdot(u, v):
     m = QuiddManager()
-    ru = m.from_dense(u, vector_space(3))
-    rv = m.from_dense(v, vector_space(3))
+    ru = from_dense(m, u, vector_space(3))
+    rv = from_dense(m, v, vector_space(3))
     got = m.inner_product(ru, rv, 3)
     assert abs(got - np.vdot(u, v)) < 1e-10
     assert abs(m.inner_product(rv, ru, 3) - got.conjugate()) < 1e-10
@@ -354,14 +355,14 @@ def test_masked_inner_product_equals_inner_product_of_masked_vector(case):
     k, mask, u, v = case
     space = vector_space(k)
     m = QuiddManager()
-    ru, rv, rmask = (m.from_dense(np.array(x, dtype=complex), space)
+    ru, rv, rmask = (from_dense(m, np.array(x, dtype=complex), space)
                      for x in (u, v, mask))
     got = m.inner_product(rv, rv, k, rmask)[0]
     # The masked vector is built in a manager of its own, so no table
     # entry of the masked walk can reach the reference.
     ref = QuiddManager()
-    w = ref.apply("mul", ref.from_dense(np.array(mask, dtype=complex), space),
-                  ref.from_dense(np.array(v, dtype=complex), space))
+    w = ref.apply("mul", from_dense(ref, np.array(mask, dtype=complex), space),
+                  from_dense(ref, np.array(v, dtype=complex), space))
     assert got == ref.inner_product(w, w, k)
     want = np.vdot(np.array(u), np.array(mask) * np.array(v))
     assert abs(m.inner_product(ru, rv, k, rmask)[0] - want) < 1e-12
@@ -373,17 +374,17 @@ def test_masked_inner_product_returns_the_full_sum_bit_for_bit(case):
     space = vector_space(k)
     # One manager per side, so no table entry is shared between them.
     m, ref = QuiddManager(), QuiddManager()
-    ru, rv, rmask = (m.from_dense(np.array(x, dtype=complex), space)
+    ru, rv, rmask = (from_dense(m, np.array(x, dtype=complex), space)
                      for x in (u, v, mask))
-    full = ref.inner_product(ref.from_dense(np.array(u, dtype=complex), space),
-                             ref.from_dense(np.array(v, dtype=complex), space),
+    full = ref.inner_product(from_dense(ref, np.array(u, dtype=complex), space),
+                             from_dense(ref, np.array(v, dtype=complex), space),
                              k)
     assert m.inner_product(ru, rv, k, rmask)[1] == full
 
 
 def test_masked_inner_product_rejects_a_mask_that_is_not_zero_one(manager):
-    v = manager.from_dense(np.array([0.5, 0.5j]), vector_space(1))
-    mask = manager.from_dense(np.array([1, 0.5]), vector_space(1))
+    v = from_dense(manager, np.array([0.5, 0.5j]), vector_space(1))
+    mask = from_dense(manager, np.array([1, 0.5]), vector_space(1))
     with pytest.raises(MaskError):
         manager.inner_product(v, v, 1, mask)
 
@@ -391,8 +392,8 @@ def test_masked_inner_product_rejects_a_mask_that_is_not_zero_one(manager):
 def test_masked_inner_product_reads_the_mask_under_a_zero_operand(manager):
     # The bad mask terminal lies under the operand's zero entry, where the
     # walk cuts short; the mask is read first, so it still raises.
-    v = manager.from_dense(np.array([0.5, 0]), vector_space(1))
-    mask = manager.from_dense(np.array([1, 0.5]), vector_space(1))
+    v = from_dense(manager, np.array([0.5, 0]), vector_space(1))
+    mask = from_dense(manager, np.array([1, 0.5]), vector_space(1))
     with pytest.raises(MaskError):
         manager.inner_product(v, v, 1, mask)
 
@@ -431,7 +432,7 @@ def build_gate(m, k, kind, gate):
         return gates.diffusion(m, k)
     if kind == "hadamard":
         return gates.hadamard_all(m, k)
-    return m.from_dense(gate, matrix_space(k))
+    return from_dense(m, gate, matrix_space(k))
 
 
 def relabelled_dump(m, root):
@@ -494,12 +495,12 @@ def test_matvec_with_phase_matches_matvec_of_the_built_product(case):
     fm, rm = QuiddManager(), QuiddManager()
     (fg, fv, fp), (rg, rv, rp) = (
         (build_gate(m, k, kind, gate),
-         *(m.from_dense(np.array(x, dtype=complex), space) for x in (vec, phase)))
+         *(from_dense(m, np.array(x, dtype=complex), space) for x in (vec, phase)))
         for m in (fm, rm))
     got_ref = fm.matvec(fg, fv, k, phase=fp)
     product = rm.apply("mul", rp, rv)
     want_ref = rm.matvec(rg, product, k)
-    got, want = fm.to_dense(got_ref, space), rm.to_dense(want_ref, space)
+    got, want = to_dense(fm, got_ref, space), to_dense(rm, want_ref, space)
     if fused_walk_is_exact(fm, rm, rp, rv, product):
         assert got.tobytes() == want.tobytes()
         assert relabelled_dump(fm, got_ref) == relabelled_dump(rm, want_ref)
@@ -513,8 +514,8 @@ def test_matvec_with_an_all_plus_one_phase_is_plain_matvec(case):
     space = vector_space(k)
     m = QuiddManager()
     rg = build_gate(m, k, kind, gate)
-    rv = m.from_dense(np.array(vec, dtype=complex), space)
-    ones = m.from_dense(np.ones(1 << k), space)
+    rv = from_dense(m, np.array(vec, dtype=complex), space)
+    ones = from_dense(m, np.ones(1 << k), space)
     assert m.matvec(rg, rv, k, phase=ones) == m.matvec(rg, rv, k)
 
 
@@ -529,8 +530,8 @@ def test_entry_at_constant_diagram(manager):
 
 
 def test_entry_at_uniform_state(manager):
-    u = manager.from_dense(np.full(32, 1 / math.sqrt(32), dtype=complex),
-                           vector_space(5))
+    u = from_dense(manager, np.full(32, 1 / math.sqrt(32), dtype=complex),
+                   vector_space(5))
     assert abs(manager.entry_at(u, 0b01101, k=5) - 1 / math.sqrt(32)) < 1e-12
 
 
@@ -538,7 +539,7 @@ def test_entry_at_follows_skipped_levels(manager):
     # Qubit 0 is skipped at the root, qubit 2 below it: entry x depends on
     # bit 1 (value 2) only.
     want = np.array([1, 1, 2, 2, 1, 1, 2, 2], dtype=complex)
-    v = manager.from_dense(want, vector_space(3))
+    v = from_dense(manager, want, vector_space(3))
     assert manager.count_nodes(v).internal == 1
     for idx in range(8):
         assert manager.entry_at(v, idx, k=3) == want[idx]
@@ -547,13 +548,13 @@ def test_entry_at_follows_skipped_levels(manager):
 def test_entry_at_recovers_every_dense_entry(manager):
     rng = np.random.default_rng(3)
     v = rng.normal(size=32) + 1j * rng.normal(size=32)
-    rv = manager.from_dense(v, vector_space(5))
+    rv = from_dense(manager, v, vector_space(5))
     for idx in range(32):
         assert abs(manager.entry_at(rv, idx, k=5) - v[idx]) < 1e-12
 
 
 def test_entry_at_rejects_bad_index(manager):
-    v = manager.from_dense(np.arange(4, dtype=complex), vector_space(2))
+    v = from_dense(manager, np.arange(4, dtype=complex), vector_space(2))
     with pytest.raises(SpaceMismatchError):
         manager.entry_at(v, 0, k=1)     # k too small for the diagram
     with pytest.raises(IndexError):
@@ -563,7 +564,7 @@ def test_entry_at_rejects_bad_index(manager):
 def test_entry_at_rejects_a_diagram_deeper_than_k_on_every_index(manager):
     # The paths to x = 0..2 end on a terminal before the deep node; the
     # vector still does not fit two qubits, as inner_product says.
-    v = manager.from_dense([1, 1, 1, 1, 1, 1, 1, 2], vector_space(3))
+    v = from_dense(manager, [1, 1, 1, 1, 1, 1, 1, 2], vector_space(3))
     with pytest.raises(SpaceMismatchError):
         manager.inner_product(v, v, 2)
     for x in range(4):
@@ -577,12 +578,12 @@ def test_count_nodes_terminal(manager):
 
 
 def test_count_nodes_deduplicates_roots(manager):
-    v = manager.from_dense(np.arange(8, dtype=complex), vector_space(3))
+    v = from_dense(manager, np.arange(8, dtype=complex), vector_space(3))
     assert manager.count_nodes(v, v) == manager.count_nodes(v)
 
 
 def test_count_nodes_uniform_state_is_single_terminal(manager):
-    u = manager.from_dense(np.full(16, 0.25, dtype=complex), vector_space(4))
+    u = from_dense(manager, np.full(16, 0.25, dtype=complex), vector_space(4))
     c = manager.count_nodes(u)
     assert (c.internal, c.terminal) == (0, 1)
 
@@ -605,8 +606,8 @@ def test_survey_span_reads_through_excluded_nodes(manager):
 def test_subtree_sums_scale_skipped_levels(manager):
     # [1, 1, 2, 3] twice: qubit 0 is skipped above the root and qubit 2
     # below its low child.
-    v = manager.from_dense(np.array([1, 1, 2, 3] * 2, dtype=complex),
-                           vector_space(3))
+    v = from_dense(manager, np.array([1, 1, 2, 3] * 2, dtype=complex),
+                   vector_space(3))
     sums = manager.subtree_sums(v, 3, lambda z: z.real)
     assert manager.var(v) == 2
     assert sums[v] == 7                  # one block of qubits 1 and 2
@@ -627,12 +628,12 @@ def test_subtree_sums_walk_deeper_than_recursion_limit(manager):
 @given(v=dense_vectors(4))
 def test_node_count_sanity_bound(v):
     m = QuiddManager()
-    c = m.count_nodes(m.from_dense(v, vector_space(4)))
+    c = m.count_nodes(from_dense(m, v, vector_space(4)))
     assert c.internal + c.terminal <= 1 << 5
 
 
 def test_from_dense_basis_state(manager):
-    r = manager.from_dense(np.array([1, 0, 0, 0], dtype=complex), vector_space(2))
+    r = from_dense(manager, np.array([1, 0, 0, 0], dtype=complex), vector_space(2))
     assert manager.entry_at(r, 0, k=2) == 1
     assert_well_formed(manager, r)
 
@@ -640,8 +641,8 @@ def test_from_dense_basis_state(manager):
 @given(v=dense_vectors(3))
 def test_round_trip_is_canonical(v):
     m = QuiddManager()
-    r1 = m.from_dense(v, vector_space(3))
-    r2 = m.from_dense(m.to_dense(r1, vector_space(3)), vector_space(3))
+    r1 = from_dense(m, v, vector_space(3))
+    r2 = from_dense(m, to_dense(m, r1, vector_space(3)), vector_space(3))
     assert r1 == r2
     assert_well_formed(m, r1)
 
@@ -651,10 +652,10 @@ def test_canonicity_across_construction_routes(manager):
     # of its two factors, each constant on the other's qubits.
     a = np.array([0.5, -0.5], dtype=complex)
     b = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    direct = manager.from_dense(np.kron(a, b), vector_space(3))
+    direct = from_dense(manager, np.kron(a, b), vector_space(3))
     composed = manager.apply(
-        "mul", manager.from_dense(np.repeat(a, 4), vector_space(3)),
-        manager.from_dense(np.tile(b, 2), vector_space(3)))
+        "mul", from_dense(manager, np.repeat(a, 4), vector_space(3)),
+        from_dense(manager, np.tile(b, 2), vector_space(3)))
     assert direct == composed
 
 
@@ -662,34 +663,34 @@ def test_to_dense_respects_vector_cap():
     m = QuiddManager()
     c = m.terminal(1.0)
     with pytest.raises(SizeCapError):
-        m.to_dense(c, vector_space(21))
+        to_dense(m, c, vector_space(21))
 
 
 def test_to_dense_respects_matrix_cap():
     m = QuiddManager()
     c = m.terminal(1.0)
     with pytest.raises(SizeCapError):
-        m.to_dense(c, matrix_space(13))
+        to_dense(m, c, matrix_space(13))
 
 
 def test_to_dense_rejects_a_diagram_outside_the_space(manager):
-    v = manager.from_dense(np.arange(8.0), vector_space(3))
+    v = from_dense(manager, np.arange(8.0), vector_space(3))
     with pytest.raises(SpaceMismatchError):
-        manager.to_dense(v, vector_space(2))
-    g = manager.from_dense([[1, 2], [3, 4]], matrix_space(1))
+        to_dense(manager, v, vector_space(2))
+    g = from_dense(manager, [[1, 2], [3, 4]], matrix_space(1))
     with pytest.raises(SpaceMismatchError):
-        manager.to_dense(g, vector_space(1))
+        to_dense(manager, g, vector_space(1))
     with pytest.raises(SpaceMismatchError):
-        manager.to_dense(manager.from_dense(np.eye(4), matrix_space(2)),
-                         matrix_space(1))
+        to_dense(manager, from_dense(manager, np.eye(4), matrix_space(2)),
+                 matrix_space(1))
 
 
 def test_matrix_round_trip(manager):
     rng = np.random.default_rng(11)
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rg = manager.from_dense(g, matrix_space(3))
-    assert np.max(np.abs(manager.to_dense(rg, matrix_space(3)) - g)) < 1e-12
-    assert rg == manager.from_dense(g, matrix_space(3))
+    rg = from_dense(manager, g, matrix_space(3))
+    assert np.max(np.abs(to_dense(manager, rg, matrix_space(3)) - g)) < 1e-12
+    assert rg == from_dense(manager, g, matrix_space(3))
 
 
 # ---------------------------------------------------------------------------
@@ -711,24 +712,24 @@ def test_cache_disabled_gives_identical_references():
     g = rng.normal(size=(16, 16)).astype(complex)
     outs = []
     for m in (on, off):
-        rv = m.from_dense(v, vector_space(4))
-        rg = m.from_dense(g, matrix_space(4))
-        outs.append(m.to_dense(m.matvec(rg, rv, 4), vector_space(4)))
+        rv = from_dense(m, v, vector_space(4))
+        rg = from_dense(m, g, matrix_space(4))
+        outs.append(to_dense(m, m.matvec(rg, rv, 4), vector_space(4)))
     assert np.max(np.abs(outs[0] - outs[1])) == 0
 
 
 def test_cache_disabled_enters_nothing():
     m = NoMemoManager()
     rng = np.random.default_rng(9)
-    a = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
-    b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
-    u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
+    a = from_dense(m, rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    b = from_dense(m, rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    u = from_dense(m, rng.normal(size=8).astype(complex), vector_space(3))
     m.matvec(a, u, 3)
     m.matvec(m.terminal(0.5), u, 3)
-    m.matvec(b, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.matvec(b, from_dense(m, np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
     m.inner_product(u, m.apply("mul", u, u), 3)
-    m.inner_product(u, u, 3, m.from_dense(np.repeat([0.0, 1.0], 4),
-                                          vector_space(3)))
+    m.inner_product(u, u, 3, from_dense(m, np.repeat([0.0, 1.0], 4),
+                                        vector_space(3)))
     assert all(len(memo) == 0 for memo in m._memos)
 
 
@@ -736,8 +737,8 @@ def test_cache_toggle_within_one_manager(manager):
     rng = np.random.default_rng(6)
     v = rng.normal(size=16).astype(complex)
     g = rng.normal(size=(16, 16)).astype(complex)
-    rv = manager.from_dense(v, vector_space(4))
-    rg = manager.from_dense(g, matrix_space(4))
+    rv = from_dense(manager, v, vector_space(4))
+    rg = from_dense(manager, g, matrix_space(4))
     cached = manager.matvec(rg, rv, 4)
     for memo in manager._memos:
         memo.clear()
@@ -749,9 +750,9 @@ def _matvec_dense(seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(16, 16)).astype(complex)
     v = rng.normal(size=16).astype(complex)
-    r = m.matvec(m.from_dense(g, matrix_space(4)),
-                 m.from_dense(v, vector_space(4)), 4)
-    return m.to_dense(r, vector_space(4))
+    r = m.matvec(from_dense(m, g, matrix_space(4)),
+                 from_dense(m, v, vector_space(4)), 4)
+    return to_dense(m, r, vector_space(4))
 
 
 def test_tiny_cache_limit_preserves_results(monkeypatch):
@@ -771,12 +772,12 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
     # its product vector sums beside its matvec entries.
     dense_a = rng.normal(size=(8, 8)).astype(complex)
     dense_a[:4, 4:] = 0.5
-    a = m.from_dense(dense_a, matrix_space(3))
-    b = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
-    u = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
-    v = m.from_dense(rng.normal(size=8).astype(complex), vector_space(3))
+    a = from_dense(m, dense_a, matrix_space(3))
+    b = from_dense(m, rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    u = from_dense(m, rng.normal(size=8).astype(complex), vector_space(3))
+    v = from_dense(m, rng.normal(size=8).astype(complex), vector_space(3))
     m.matvec(m.terminal(0.5), u, 3)
-    m.matvec(b, m.from_dense(np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
+    m.matvec(b, from_dense(m, np.repeat([1.0, 2.0], 4), vector_space(3)), 3)
     m.matvec(a, u, 3)
     m.inner_product(u, m.apply("mul", u, v), 3)
     assert all(0 < len(memo) <= 8 for memo in m._memos)
@@ -788,8 +789,8 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
 
 def _random_vector(m, rng, k):
     """A vector diagram with few distinct amplitudes, so it shares nodes."""
-    return m.from_dense(rng.integers(-2, 3, size=1 << k).astype(complex),
-                        vector_space(k))
+    return from_dense(m, rng.integers(-2, 3, size=1 << k).astype(complex),
+                      vector_space(k))
 
 
 def test_collect_keeps_roots_and_refs_below_floor():
@@ -806,20 +807,19 @@ def test_collect_keeps_roots_and_refs_below_floor():
         m.apply("add", x, old)
         roots.append(m.apply("mul", x, _random_vector(m, rng, k)))
     roots.append(m.terminal(0.25))
-    dense_before = [m.to_dense(r, vector_space(k)) for r in roots]
+    dense_before = [to_dense(m, r, vector_space(k)) for r in roots]
     created = m.nodes_created
     size = m.size
 
-    new_floor, moved = m.collect(floor, tuple(roots))
+    moved = m.collect(floor, tuple(roots))
 
     assert m.size < size
     assert m.nodes_created == created      # a running total, not the size
-    assert floor <= new_floor <= m.size
     assert m.dump(old) == old_dump
     for r, want in zip(moved, dense_before):
-        assert np.array_equal(m.to_dense(r, vector_space(k)), want)
+        assert np.array_equal(to_dense(m, r, vector_space(k)), want)
         # Canonicity: rebuilding the contents finds the renumbered node.
-        assert m.from_dense(want, vector_space(k)) == r
+        assert from_dense(m, want, vector_space(k)) == r
         assert_well_formed(m, r)
 
 
@@ -843,8 +843,7 @@ def test_collect_frees_swept_terminals_and_keeps_the_floor():
     m.node(0, one, m.terminal(1 / 3))       # dead
     live = m.node(2, half, one)
     m.sweep(floor, since, (), (half, one))  # drops the 1/3 terminal
-    new_floor, (live,) = m.collect(floor, (live,))
-    assert new_floor == floor
+    (live,) = m.collect(floor, (live,))
     assert m.size == floor + 4              # quarter, one, half, live
     assert m.terminal(0.25) == quarter
     one, half = m.terminal(1), m.terminal(0.5)
@@ -868,29 +867,29 @@ def test_sweep_keeps_the_zero_terminal_and_terminals_below_the_floor():
 def test_collect_keeps_row_sums_and_spans_and_stays_consistent():
     m = QuiddManager()
     rng = np.random.default_rng(12)
-    g = m.from_dense(rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    g = from_dense(m, rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     floor = m.size
     # Equal neighbours give constant segments, so the row-sum table fills.
-    v = m.from_dense(np.repeat(rng.normal(size=4), 2).astype(complex),
-                     vector_space(3))
+    v = from_dense(m, np.repeat(rng.normal(size=4), 2).astype(complex),
+                   vector_space(3))
     w = m.matvec(g, v, 3)
     m.matvec(g, _random_vector(m, rng, 3), 3)
     m.inner_product(v, w, 3)
-    want = m.to_dense(w, vector_space(3))
-    row_sums = {key: m.to_dense(r, vector_space(3))
+    want = to_dense(m, w, vector_space(3))
+    row_sums = {key: to_dense(m, r, vector_space(3))
                 for key, r in m._rs_memo.items()}
     assert row_sums and set(m._span_memo) > {g}
     span = m._span_memo[g]
-    floor, (v, w) = m.collect(floor, (v, w))
+    v, w = m.collect(floor, (v, w))
     assert not any((m._add_memo, m._mul_memo, m._mv_memo, m._vs_memo,
                     m._ip_memo))
     assert m._span_memo == {g: span}
     assert m._rs_memo.keys() == row_sums.keys()
     for key, r in m._rs_memo.items():
         assert_well_formed(m, r)
-        assert np.array_equal(m.to_dense(r, vector_space(3)), row_sums[key])
+        assert np.array_equal(to_dense(m, r, vector_space(3)), row_sums[key])
     assert m.matvec(g, v, 3) == w
-    assert np.array_equal(m.to_dense(w, vector_space(3)), want)
+    assert np.array_equal(to_dense(m, w, vector_space(3)), want)
 
 
 def test_kernels_return_the_zero_terminal_after_collect_moves_it():
@@ -902,18 +901,18 @@ def test_kernels_return_the_zero_terminal_after_collect_moves_it():
     dense_g[2:, :2] = -1.5              # one whose rows sum to a constant
     dense_g[3, 1] = 2.0
     dense_u = rng.normal(size=4).astype(complex)
-    g = m.from_dense(dense_g, matrix_space(k))
-    u = m.from_dense(dense_u, vector_space(k))
+    g = from_dense(m, dense_g, matrix_space(k))
+    u = from_dense(m, dense_u, vector_space(k))
     floor = m.size
     # The zero terminal is interned above the floor, behind an internal
     # node the collection frees, so the collection moves it down.
-    m.from_dense(np.arange(1.0, 5.0), vector_space(k))
+    from_dense(m, np.arange(1.0, 5.0), vector_space(k))
     stale = m.terminal(0)
     dense_v = np.array([0.0, 3.0, 0.0, -2.0], dtype=complex)
-    v = m.from_dense(dense_v, vector_space(k))
+    v = from_dense(m, dense_v, vector_space(k))
     dense_x = rng.normal(size=4).astype(complex)
-    x = m.from_dense(dense_x, vector_space(k))
-    _, (v, x) = m.collect(floor, (v, x))
+    x = from_dense(m, dense_x, vector_space(k))
+    v, x = m.collect(floor, (v, x))
     zero = m.terminal(0)
     assert zero != stale
     assert m.matvec(g, zero, k) == zero
@@ -922,16 +921,16 @@ def test_kernels_return_the_zero_terminal_after_collect_moves_it():
     half = m.terminal(0.5)
     for gate, dense_gate in ((g, dense_g), (half, np.full((4, 4), 0.5))):
         for vec, dense_vec in ((u, dense_u), (v, dense_v), (x, dense_x)):
-            got = m.to_dense(m.matvec(gate, vec, k), vector_space(k))
+            got = to_dense(m, m.matvec(gate, vec, k), vector_space(k))
             assert np.max(np.abs(got - dense_gate @ dense_vec)) < 1e-12
 
 
 # Each case reaches one recursive builder or walker, and nothing else that
 # could hold the manager in a reference cycle.
 @pytest.mark.parametrize("build", [
-    lambda m: m.from_dense(np.arange(8.0), vector_space(3)),
-    lambda m: m.to_dense(m.node(0, m.terminal(0), m.terminal(1)),
-                         vector_space(2)),
+    lambda m: from_dense(m, np.arange(8.0), vector_space(3)),
+    lambda m: to_dense(m, m.node(0, m.terminal(0), m.terminal(1)),
+                       vector_space(2)),
     lambda m: gates.diffusion(m, 3),
     lambda m: oracle.compile_marked_set(m, 5, [3, 17]),
     lambda m: oracle.any_marked_index(
@@ -957,7 +956,7 @@ def test_dropped_manager_is_freed_without_cycle_collector(build):
 
 
 def test_dump_lists_all_nodes(manager):
-    v = manager.from_dense(np.array([1, 1, 1, -1], dtype=complex), vector_space(2))
+    v = from_dense(manager, np.array([1, 1, 1, -1], dtype=complex), vector_space(2))
     text = manager.dump(v)
     lines = text.strip().splitlines()
     c = manager.count_nodes(v)
