@@ -16,8 +16,8 @@ from .cnf import (CnfFormula, DimacsError, FormulaError, PlantedInstance,
 from .oracle import (Oracle, OracleError, Predicate, apply_oracle,
                      compile_cnf, compile_marked_set)
 from .grover import (GroverParams, GroverRun, IterationStats, NoSolutionError,
-                     ideal_success_probability, initialize_state, measure,
-                     optimal_iterations, run, sampler)
+                     Trace, ideal_success_probability, initialize_state,
+                     measure, optimal_iterations, run, sampler)
 from .baselines import (CrossoverRow, QueryLedger, WalkConfig, WalkResult,
                         crossover_table, deterministic_scan,
                         randomized_search, schoening_walk)

@@ -7,13 +7,14 @@ success probability, norm and live node footprint after every iteration,
 and samples the final state without mutating it: :func:`sampler` sums its
 subtree masses once, then draws any number of shots.
 
-Recording the trace allocates no node.  One inner product of the state
-with itself, masked by the marked-set indicator, gives both the success
-probability and the norm.  One walk of the state's nodes beyond the
-run's fixed diagrams (oracle phase, indicator, diffusion), whose own
-nodes are counted once per run, gives the live count, the state's span
-for the space checks and the terminals the run keeps when it sweeps
-the terminal table after the iteration.
+Recording the trace allocates no node, and the :class:`Trace` keeps no
+Python object per iteration: its statistics sit in flat columns.  One
+inner product of the state with itself, masked by the marked-set
+indicator, gives both the success probability and the norm.  One walk
+of the state's nodes beyond the run's fixed diagrams (oracle phase,
+indicator, diffusion), whose own nodes are counted once per run, gives
+the live count, the state's span for the space checks and the terminals
+the run keeps when it sweeps the terminal table after the iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections.abc import Callable
+from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 
 from . import gates
@@ -102,6 +104,79 @@ class IterationStats:
     live_internal_nodes: int
 
 
+class Trace(Sequence):
+    """The per-iteration statistics of one run, stored as columns.
+
+    Entry t is the :class:`IterationStats` after iteration t, built when
+    it is read, so ``trace[-1]`` costs O(1) and the trace holds no Python
+    object per iteration: success probability, squared norm and the real
+    and imaginary parts of both amplitudes are ``array('d')`` columns,
+    which keep every float bit for bit, and the live counts an
+    ``array('q')``, 56 bytes per iteration in all.  When the oracle marks
+    no item, or every item, that amplitude has no columns and reads
+    ``None`` in every entry.
+
+    A trace is read-only to its users.  A slice returns a tuple;
+    iteration, ``len``, equality with another trace or with a tuple of
+    the same entries, the hash and the repr are those of that tuple.
+    """
+
+    __slots__ = ("_marked", "_unmarked", "_success_prob", "_norm_sq",
+                 "_live")
+
+    def __init__(self, has_marked: bool, has_unmarked: bool):
+        self._marked = (array("d"), array("d")) if has_marked else None
+        self._unmarked = (array("d"), array("d")) if has_unmarked else None
+        self._success_prob = array("d")
+        self._norm_sq = array("d")
+        self._live = array("q")
+
+    def _append(self, marked_amp: complex | None,
+                unmarked_amp: complex | None, success_prob: float,
+                norm_sq: float, live_internal_nodes: int) -> None:
+        for cols, z in ((self._marked, marked_amp),
+                        (self._unmarked, unmarked_amp)):
+            if cols is not None:
+                cols[0].append(z.real)
+                cols[1].append(z.imag)
+        self._success_prob.append(success_prob)
+        self._norm_sq.append(norm_sq)
+        self._live.append(live_internal_nodes)
+
+    def _entry(self, t: int) -> IterationStats:
+        marked, unmarked = self._marked, self._unmarked
+        return IterationStats(
+            t,
+            None if marked is None else complex(marked[0][t], marked[1][t]),
+            None if unmarked is None
+            else complex(unmarked[0][t], unmarked[1][t]),
+            self._success_prob[t], self._norm_sq[t], self._live[t])
+
+    def __len__(self) -> int:
+        return len(self._success_prob)
+
+    def __getitem__(self, i):
+        t = range(len(self))[i]
+        if isinstance(i, slice):
+            return tuple(map(self._entry, t))
+        return self._entry(t)
+
+    def __iter__(self):
+        return map(self._entry, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, tuple)):
+            return NotImplemented
+        return (len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class GroverRun:
     """Complete record of one run.  Everything except the wall-clock
@@ -113,7 +188,7 @@ class GroverRun:
     iterations: int
     queries: int
     no_solution: bool
-    trace: tuple[IterationStats, ...]
+    trace: Trace
     measurements: tuple[int, ...]
     peak_live_internal_nodes: int
     final_state: int
@@ -122,9 +197,12 @@ class GroverRun:
 
     def comparable(self) -> dict:
         """All fields that must be bit-identical across reruns: every
-        field but the final state's ref and the wall-clock times."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("final_state", "loop_ns", "wall_ns")}
+        field but the final state's ref and the wall-clock times, with
+        the trace as a tuple of its entries."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("final_state", "loop_ns", "wall_ns")}
+        out["trace"] = tuple(self.trace)
+        return out
 
 
 def initialize_state(m: QuiddManager, k: int) -> int:
@@ -186,12 +264,11 @@ def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
     return sampler(m, state, k)(rng)
 
 
-def _stats(m: QuiddManager, t: int, state: int, indicator: int,
+def _stats(m: QuiddManager, trace: Trace, state: int, indicator: int,
            marked_idx: int | None, unmarked_idx: int | None,
-           fixed: set, fixed_internal: int,
-           k: int) -> tuple[IterationStats, list[int]]:
-    """The trace entry for ``state`` and the state's terminals beyond the
-    run's fixed diagrams; allocates no node.
+           fixed: set, fixed_internal: int, k: int) -> list[int]:
+    """Append the trace entry for ``state`` to ``trace`` and return the
+    state's terminals beyond the run's fixed diagrams; allocates no node.
 
     The state is walked once (:meth:`QuiddManager.survey`), and only
     beyond the fixed diagrams (oracle phase, indicator, diffusion):
@@ -210,8 +287,9 @@ def _stats(m: QuiddManager, t: int, state: int, indicator: int,
                     if unmarked_idx is not None else None)
     p, norm_sq = m.inner_product(state, state, k, indicator)
     p = min(max(p.real, 0.0), 1.0)
-    return IterationStats(t, marked_amp, unmarked_amp, p, norm_sq.real,
-                          fixed_internal + internal), terminals
+    trace._append(marked_amp, unmarked_amp, p, norm_sq.real,
+                  fixed_internal + internal)
+    return terminals
 
 
 def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
@@ -273,20 +351,19 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     collected_at = m.nodes_created
 
     state = initialize_state(m, k)
-    stats, terminals = _stats(m, 0, state, indicator, marked_idx,
-                              unmarked_idx, fixed, fixed_internal, k)
-    trace = [stats]
+    trace = Trace(marked_idx is not None, unmarked_idx is not None)
+    terminals = _stats(m, trace, state, indicator, marked_idx,
+                       unmarked_idx, fixed, fixed_internal, k)
     queries = 0
     loop_start = time.perf_counter_ns()
-    for t in range(1, iterations + 1):
+    for _ in range(iterations):
         # One iteration: the diffusion times the oracle's phase product,
         # in one matvec that never builds the product.
         since = m.size
         state = m.matvec(diffusion_ref, state, k, oracle.phase_vector)
         queries += 1
-        stats, current = _stats(m, t, state, indicator, marked_idx,
-                                unmarked_idx, fixed, fixed_internal, k)
-        trace.append(stats)
+        current = _stats(m, trace, state, indicator, marked_idx,
+                         unmarked_idx, fixed, fixed_internal, k)
         m.sweep(floor, since, terminals, current)
         terminals = current
         if m.nodes_created - collected_at >= COLLECT_EVERY:
@@ -307,9 +384,9 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
         iterations=iterations,
         queries=queries,
         no_solution=no_solution,
-        trace=tuple(trace),
+        trace=trace,
         measurements=measurements,
-        peak_live_internal_nodes=max(s.live_internal_nodes for s in trace),
+        peak_live_internal_nodes=max(trace._live),
         final_state=state,
         loop_ns=loop_ns,
         wall_ns=time.perf_counter_ns() - t_start,

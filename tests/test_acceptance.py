@@ -1,8 +1,9 @@
 """End-to-end contract battery.
 
-Each test exercises one numbered contract at its stated tolerance and
-wall-clock budget, printing a single ``[PASS]``/``[FAIL]`` verdict line
-straight to the real stdout so the tally survives pytest's capture.  The
+Each test exercises one numbered contract at its stated tolerance,
+printing a single ``[PASS]``/``[FAIL]`` verdict line with its elapsed
+time straight to the real stdout so the tally survives pytest's capture.
+Criterion 2 alone asserts a wall-clock budget.  The
 21x3 parameter grid (k = 4..24, marked counts 1/2/4) is simulated once
 per session and shared by the contracts that read it.
 """

@@ -257,6 +257,85 @@ def test_peak_live_nodes_is_trace_maximum():
 
 
 # ---------------------------------------------------------------------------
+# the trace's columns
+
+
+@pytest.mark.parametrize("k, marked, iterations", [
+    (8, [100], None),        # one marked item
+    (5, [], 3),              # no marked item: marked_amp is None
+    (3, range(8), 2),        # every item marked: unmarked_amp is None
+])
+def test_trace_reads_as_the_tuple_of_its_entries(k, marked, iterations):
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, marked)
+    rec = grover.run(m, orc, GroverParams(k=k, iterations=iterations))
+    trace = rec.trace
+    entries = tuple(trace)
+    n = rec.iterations + 1
+    assert len(trace) == len(entries) == n
+    assert [s.t for s in entries] == list(range(n))
+    assert all((s.marked_amp is None) == (not orc.marked_count)
+               and (s.unmarked_amp is None) == (orc.marked_count == 1 << k)
+               for s in entries)
+    # The last entry holds the final state's amplitudes bit for bit.
+    final = entries[-1]
+    for amp, index in ((final.marked_amp, oracle.any_marked_index(m, orc)),
+                       (final.unmarked_amp,
+                        oracle.any_unmarked_index(m, orc))):
+        if amp is not None:
+            want = m.entry_at(rec.final_state, index, k)
+            assert [(x, math.copysign(1.0, x)) for x in (amp.real, amp.imag)] \
+                == [(x, math.copysign(1.0, x)) for x in (want.real, want.imag)]
+    assert trace[-1] == trace[n - 1] == final
+    assert trace[-n] == trace[0] == entries[0]
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[past]
+    assert trace[1:3] == entries[1:3] and type(trace[1:3]) is tuple
+    assert trace[::-2] == entries[::-2]
+    assert trace[5:2] == ()
+    assert entries == trace and trace == entries and trace != list(entries)
+    assert hash(trace) == hash(entries)
+    assert repr(trace) == repr(entries)
+    assert type(rec.comparable()["trace"]) is tuple
+    assert rec.comparable()["trace"] == entries
+    m2 = QuiddManager()
+    again = grover.run(m2, oracle.compile_marked_set(m2, k, marked),
+                       GroverParams(k=k, iterations=iterations))
+    assert again.trace == trace and hash(again.trace) == hash(trace)
+    assert trace != entries[:-1] and isinstance(hash(rec), int)
+
+
+def test_trace_keeps_a_negative_zero_amplitude_part():
+    # With every item marked the imaginary part reads -0.0 after two
+    # iterations; the columns must hand it back with its sign.
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, 3, range(8))
+    rec = grover.run(m, orc, GroverParams(k=3, iterations=2))
+    amp = rec.trace[-1].marked_amp
+    assert amp.imag == 0.0 and math.copysign(1.0, amp.imag) == -1.0
+    assert math.copysign(1.0, m.entry_at(rec.final_state, 0, 3).imag) == -1.0
+    assert repr(rec.comparable()["trace"][-1].marked_amp).endswith("-0j)")
+
+
+def test_trace_memory_per_iteration_is_flat_columns():
+    # Everything grover.py allocated that a held record keeps alive,
+    # per trace entry: 56 bytes of columns plus their growth slack and the
+    # record's fixed objects.  A tuple of IterationStats held about 200
+    # bytes per entry by this count, and its amplitude objects besides.
+    tracemalloc.start()
+    try:
+        _, _, rec = single_marked_run(14, (1 << 14) - 3, shots=0)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(True, grover.__file__)]).statistics("filename"))
+    assert len(rec.trace) == 101
+    assert held <= 80 * len(rec.trace), held
+
+
+# ---------------------------------------------------------------------------
 # dead-node collection inside a run
 
 
