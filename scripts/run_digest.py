@@ -10,10 +10,12 @@ For each collection setting (the default ``COLLECT_EVERY`` and 64) it
 prints two digests: one over every run's ``comparable()`` record, one
 over every manager's whole node store after its run, as
 :meth:`QuiddManager.dump` lists it (each node's id, variable and
-children, each terminal's value).  Equal digests on two versions of the
-code mean bit-identical results and the same node store, numbering
-included.  A run ends with a collection, so both digests must also be
-equal at the two settings; the script exits 1 when they are not.
+children, each terminal's value), and the total of every manager's
+``nodes_created``: a count of the work done that no timing moves.
+Equal digests on two versions of the code mean bit-identical results
+and the same node store, numbering included.  A run ends with a
+collection, so the digests and the count must also be equal at the two
+settings; the script exits 1 when they are not.
 Usage::
 
     PYTHONPATH=src python scripts/run_digest.py
@@ -51,12 +53,13 @@ def runs():
 def digests():
     records = hashlib.sha256()
     nodes = hashlib.sha256()
-    count = 0
+    count = created = 0
     for m, rec in runs():
         records.update(repr(rec.comparable()).encode())
         nodes.update(m.dump(*range(m.size)).encode())
+        created += m.nodes_created
         count += 1
-    return count, records.hexdigest(), nodes.hexdigest()
+    return count, records.hexdigest(), nodes.hexdigest(), created
 
 
 def main() -> int:
@@ -65,15 +68,16 @@ def main() -> int:
     for every in (default, 64):
         grover.COLLECT_EVERY = every
         try:
-            count, records, nodes = digests()
+            count, records, nodes, created = digests()
         finally:
             grover.COLLECT_EVERY = default
         print(f"COLLECT_EVERY={every}: {count} runs")
         print(f"  comparable()          {records}")
-        print(f"  node store            {nodes}", flush=True)
-        seen.add((records, nodes))
+        print(f"  node store            {nodes}")
+        print(f"  nodes created         {created}", flush=True)
+        seen.add((records, nodes, created))
     if len(seen) > 1:
-        print("digests differ between the collection settings")
+        print("digests or counts differ between the collection settings")
         return 1
     return 0
 

@@ -24,7 +24,7 @@ import random
 import time
 from array import array
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from . import gates
 # perfbench/workloads.py patches grover.apply_oracle, so the name stays.
@@ -180,7 +180,9 @@ class Trace(Sequence):
 @dataclass(frozen=True)
 class GroverRun:
     """Complete record of one run.  Everything except the wall-clock
-    fields is a pure function of (oracle, params)."""
+    fields is a pure function of (oracle, params).  Equality and the
+    hash leave out the final state's ref and the wall-clock times, so
+    two runs with the same results compare and hash equal."""
 
     params: GroverParams
     k: int
@@ -191,9 +193,9 @@ class GroverRun:
     trace: Trace
     measurements: tuple[int, ...]
     peak_live_internal_nodes: int
-    final_state: int
-    loop_ns: int
-    wall_ns: int
+    final_state: int = field(compare=False)
+    loop_ns: int = field(compare=False)
+    wall_ns: int = field(compare=False)
 
     def comparable(self) -> dict:
         """All fields that must be bit-identical across reruns: every

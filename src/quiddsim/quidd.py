@@ -46,6 +46,10 @@ reaches it, and no terminal below the floor is ever swept, so a cell's
 representative changes only at a sweep and results do not depend on
 when collections happen.
 
+A matvec builds each node of its result once, after the offset of the
+whole result is known (:meth:`QuiddManager.matvec`), so a single-marked
+Grover iteration creates k + 4 nodes.
+
 Computed tables
 ---------------
 Each operation remembers its results in a computed table.  A table is
@@ -181,6 +185,11 @@ class QuiddManager:
         self._memos = (self._add_memo, self._mul_memo, self._mv_memo,
                        self._vs_memo, self._rs_memo, self._ip_memo,
                        self._span_memo)
+        # Deferred nodes of the running matvec: triple -> negative ref,
+        # the triples by ~ref, and the real nodes built from them.
+        self._deferred: dict[tuple[int, int, int], int] = {}
+        self._dnodes: list[tuple[int, int, int]] = []
+        self._built: dict[tuple[int, int | None], int] = {}
         self._freed = 0         # nodes released by collect()
         self._zero: int | None = None   # the terminal of cell (0, 0)
         # Nodes the row-sum table's results reach, for sweep(); None
@@ -387,9 +396,16 @@ class QuiddManager:
         drops a node the pair keeps, or the walk first fills a product
         entry's grid cell with another value; then it agrees to rounding.
 
+        The walk defers each new internal node (:meth:`_defer`) and
+        returns the result's uniform offset beside it; only then are the
+        deferred nodes built, with the offset in their terminals
+        (:meth:`_build`).  Unreached nodes remain only where a block sums
+        two non-zero products, or where a block's two non-terminal halves
+        take different offsets.
+
         The matvec, vector-sum, add and multiply tables are emptied when
-        the call starts, so their entries last one call; the row-sum
-        table is kept."""
+        the call starts, so their entries last one call; the deferred
+        nodes are emptied when it returns; the row-sum table is kept."""
         if k < 1:
             raise SpaceMismatchError("k must be >= 1")
         self._check_matrix(gate, k)
@@ -401,10 +417,14 @@ class QuiddManager:
             memo.clear()
         # The shortcuts return the zero terminal, so it must exist.
         self._term(0j)
-        ref, off = self._matvec_rec(0, gate, vec, phase, k)
-        if off == 0:
-            return ref
-        return self._add(self._term(off), ref)
+        try:
+            ref, off = self._matvec_rec(0, gate, vec, phase, k)
+            t = None if off == 0 else self._term(off)
+            return self._build(ref, None if t == self._zero else t)
+        finally:
+            self._deferred.clear()
+            self._dnodes.clear()
+            self._built.clear()
 
     def _matvec_rec(self, m: int, g: int, w: int, p: int | None,
                     k: int) -> tuple[int, complex]:
@@ -413,7 +433,9 @@ class QuiddManager:
         # level pass its partial sums upward without rewriting the deep
         # child, so a product against a mostly-constant gate touches each
         # result node once instead of once per level, and it keeps the
-        # uniform partial sums out of the terminal table.
+        # uniform partial sums out of the terminal table.  A new internal
+        # node is not built here but deferred (a negative ref, see
+        # _defer), so matvec builds it once, with the top offset added.
         # Phase block p: folded into w where it turns constant, dropped if 1.
         value = self._value
         if p is not None and value[p] is not None:
@@ -467,30 +489,68 @@ class QuiddManager:
             p0 = p1 = p
         m1 = m + 1
         zero = self._zero
-        # A zero side of a sum is skipped as _add would skip it.
+        # A zero side of a sum is skipped as _add would skip it; a summed
+        # side that is deferred is built first, with no offset.
         l0, c00 = self._matvec_rec(m1, g00, w0, p0, k)
         l1, c01 = self._matvec_rec(m1, g01, w1, p1, k)
-        lo = l1 if l0 == zero else l0 if l1 == zero else self._add(l0, l1)
+        lo = (l1 if l0 == zero else l0 if l1 == zero
+              else self._add(self._build(l0, None), self._build(l1, None)))
         lo_off = c00 + c01
         h0, c10 = self._matvec_rec(m1, g10, w0, p0, k)
         h1, c11 = self._matvec_rec(m1, g11, w1, p1, k)
-        hi = h1 if h0 == zero else h0 if h1 == zero else self._add(h0, h1)
+        hi = (h1 if h0 == zero else h0 if h1 == zero
+              else self._add(self._build(h0, None), self._build(h1, None)))
         hi_off = c10 + c11
         if lo_off == hi_off:
             off = lo_off
-        elif value[hi] is not None:
+        elif hi >= 0 and value[hi] is not None:
             # Fold the offset difference into whichever side is a bare
             # terminal; the non-terminal side keeps its subtree untouched.
             off = lo_off
             hi = self._term(value[hi] + (hi_off - lo_off))
-        elif value[lo] is not None:
+        elif lo >= 0 and value[lo] is not None:
             off = hi_off
             lo = self._term(value[lo] + (lo_off - hi_off))
         else:
+            # Between two non-terminal sides the high side takes it; a
+            # deferred one is built with it directly.
             off = lo_off
-            hi = self._add(self._term(hi_off - lo_off), hi)
-        r = (lo if lo == hi else self.node(rv, lo, hi)), off
+            t = self._term(hi_off - lo_off)
+            if t != zero:
+                hi = self._build(hi, t)
+        r = (lo if lo == hi else self._defer(rv, lo, hi)), off
         return self._remember(self._mv_memo, key, r)
+
+    def _defer(self, var: int, low: int, high: int) -> int:
+        """A deferred internal node (a negative ref) of the running matvec,
+        hash-consed among the deferred nodes.  :meth:`_build` interns each
+        node it makes, so a built result never duplicates an existing
+        node."""
+        key = (var, low, high)
+        ref = self._deferred.get(key)
+        if ref is None:
+            ref = self._deferred[key] = ~len(self._dnodes)
+            self._dnodes.append(key)
+        return ref
+
+    def _build(self, ref: int, t: int | None) -> int:
+        """``ref`` with terminal ``t`` added to every entry (nothing where
+        ``t`` is None), a deferred ref built as a real node.
+
+        A deferred node's children are built low before high and then the
+        node, the order in which ``_add(t, ·)`` would visit the node had
+        it been built.
+        """
+        if ref >= 0:
+            return ref if t is None else self._add(t, ref)
+        key = (ref, t)
+        hit = self._built.get(key)
+        if hit is not None:
+            return hit
+        var, low, high = self._dnodes[~ref]
+        r = self._built[key] = self.node(var, self._build(low, t),
+                                         self._build(high, t))
+        return r
 
     def _vecsum_rec(self, m: int, w: int, p: int | None, k: int) -> complex:
         """Sum of all 2^(k-m) entries of a vector diagram below level m."""

@@ -1,5 +1,6 @@
 """Search engine behaviour: iteration counts, traces, measurement."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -250,6 +251,17 @@ def test_run_reproducible_across_managers():
     assert a.comparable() == b.comparable()
 
 
+def test_identical_runs_compare_and_hash_equal():
+    # Equality and the hash read the results, not the final state's ref
+    # or the wall-clock times.
+    _, _, a = single_marked_run(8, 100, seed=7, shots=4)
+    _, _, b = single_marked_run(8, 100, seed=7, shots=4)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a == dataclasses.replace(a, final_state=-1, loop_ns=0, wall_ns=0)
+    assert a != dataclasses.replace(a, queries=a.queries + 1)
+
+
 def test_peak_live_nodes_is_trace_maximum():
     _, _, rec = single_marked_run(9, 17)
     assert rec.peak_live_internal_nodes == max(
@@ -363,6 +375,48 @@ def test_collection_leaves_runs_bit_identical(k, marked):
                                             shots=4)).comparable()
             for its in (ideal, 3 * ideal) for rep in range(2)]
     assert records[QuiddManager] == records[NeverFreeManager]
+
+
+@pytest.mark.parametrize("marked", ["last", "spread", "siblings",
+                                    "spread pair"])
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_diffusion_matvec_creates_only_nodes_its_result_reaches(k, marked):
+    # Nothing is collected, so every node a matvec made is still in the
+    # store beside its result: a matvec builds each result node once,
+    # with the offset already added, and builds nothing else.  Two marked
+    # items in different halves of a block are the exception: that
+    # block's offset difference goes into its high half, built then and
+    # copied again when the top offset is added, leaving at most k - 1
+    # nodes per matvec unreached.
+    items = {"last": [(1 << k) - 3], "spread": _spread_marked(k, 1),
+             "siblings": [(1 << k) - 4, (1 << k) - 3],
+             "spread pair": _spread_marked(k, 2)}[marked]
+    allowed = k - 1 if marked == "spread pair" else 0
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, items)
+    diffusion = gates.diffusion(m, k)
+    state = grover.initialize_state(m, k)
+    created = unreached = 0
+    for _ in range(30):
+        since = m.size
+        state = m.matvec(diffusion, state, k, orc.phase_vector)
+        new = {n for n in range(since, m.size) if not m.is_terminal(n)}
+        created += len(new)
+        unreached += len(new - m.reachable(state))
+    assert created >= 30 * (k - 1)
+    assert unreached <= 30 * allowed, (unreached, created)
+
+
+def test_single_marked_run_creates_few_nodes_per_iteration():
+    # k + 4 per iteration at steady state: the result's k internal nodes
+    # and four terminals.
+    k = 20
+    m = QuiddManager()
+    orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+    before = m.nodes_created
+    rec = grover.run(m, orc, GroverParams(k=k, shots=0))
+    assert rec.iterations > 800
+    assert (m.nodes_created - before) / rec.iterations <= k + 5
 
 
 def test_frequent_collection_keeps_refs_and_results(monkeypatch):

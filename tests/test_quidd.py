@@ -501,6 +501,8 @@ def test_matvec_with_phase_matches_matvec_of_the_built_product(case):
     product = rm.apply("mul", rp, rv)
     want_ref = rm.matvec(rg, product, k)
     got, want = to_dense(fm, got_ref, space), to_dense(rm, want_ref, space)
+    # The deferred result never duplicates a node the manager holds.
+    assert from_dense(fm, got, space) == got_ref
     if fused_walk_is_exact(fm, rm, rp, rv, product):
         assert got.tobytes() == want.tobytes()
         assert relabelled_dump(fm, got_ref) == relabelled_dump(rm, want_ref)
@@ -517,6 +519,64 @@ def test_matvec_with_an_all_plus_one_phase_is_plain_matvec(case):
     rv = from_dense(m, np.array(vec, dtype=complex), space)
     ones = from_dense(m, np.ones(1 << k), space)
     assert m.matvec(rg, rv, k, phase=ones) == m.matvec(rg, rv, k)
+
+
+class DeferWatchManager(QuiddManager):
+    """Keeps the top-level (ref, offset) of the last matvec walk and
+    counts the deferred nodes the walk itself builds with no offset,
+    which it does only to sum them."""
+
+    def __init__(self):
+        super().__init__()
+        self.top = None
+        self.walking = self.summed = 0
+
+    def _matvec_rec(self, m, g, w, p, k):
+        self.walking += 1
+        try:
+            r = super()._matvec_rec(m, g, w, p, k)
+        finally:
+            self.walking -= 1
+        if m == 0:
+            self.top = r
+        return r
+
+    def _build(self, ref, t):
+        self.summed += self.walking > 0 and ref < 0 and t is None
+        return super()._build(ref, t)
+
+
+FOLD = np.array([[0.1, -0.3], [1, 2]])
+
+
+@pytest.mark.parametrize("case, k, gate, vec", [
+    ("zero offset", 3, np.diag(np.arange(1.0, 9.0)), [0, 0, 0, 1, 0, 2, 0, 0]),
+    # The first row sums to 0.1 * 3 - 0.3 * 1 = 5.6e-17.
+    ("offset in the zero cell", 2, np.kron(FOLD, np.diag([1, 2])),
+     [3, 5, 1, 7]),
+    ("summed sides", 3, "hadamard", np.arange(8.0)),
+])
+def test_matvec_builds_the_deferred_result_once(case, k, gate, vec):
+    m = DeferWatchManager()
+    if isinstance(gate, str):
+        rg = build_gate(m, k, gate, None)
+        gate = to_dense(m, rg, matrix_space(k))
+    else:
+        rg = from_dense(m, gate, matrix_space(k))
+    space = vector_space(k)
+    rv = from_dense(m, np.array(vec, dtype=complex), space)
+    got = m.matvec(rg, rv, k)
+    ref, off = m.top
+    if case == "zero offset":
+        assert ref < 0 and off == 0
+    elif case == "offset in the zero cell":
+        assert ref < 0 and 0 < abs(off) < GRID / 2
+    else:
+        assert m.summed > 0
+    assert not m.is_terminal(got)
+    dense = to_dense(m, got, space)
+    assert from_dense(m, dense, space) == got
+    assert np.max(np.abs(dense - gate @ np.array(vec, dtype=complex))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The script hashes every ``comparable()`` record and every manager's
 whole node store (``dump`` of every ref) over a fixed set of 44 Grover
-runs.  A change to either digest means results or the node store moved,
-node numbering and terminal values included; such a change must be
-deliberate, and this test then states the new digests.
+runs, and sums the nodes each manager created.  A change to either
+digest means results or the node store moved, node numbering and
+terminal values included; such a change must be deliberate, and this
+test then states the new digests.  The count moves with any change to
+how many nodes the kernels build, and a change to it is stated the same
+way.
 """
 
 import importlib.util
@@ -16,6 +19,7 @@ RUN_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "run_digest.py"
 
 RECORDS = "1eef2d0ed7ef73e2a70bdb1f0dff2abc966a2348d302638721c1f905efc8972e"
 NODES = "47167f941b87f13dbb686474302a7cfcda4531cbcf92d53d4b18b09cd5d1547d"
+CREATED = 758_909
 
 
 def test_run_digest_at_the_default_collection_setting():
@@ -23,4 +27,4 @@ def test_run_digest_at_the_default_collection_setting():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert grover.COLLECT_EVERY == 4096
-    assert script.digests() == (44, RECORDS, NODES)
+    assert script.digests() == (44, RECORDS, NODES, CREATED)
