@@ -57,6 +57,9 @@ emptied when it reaches ``CACHE_LIMIT`` entries.  The tables a product
 or an inner product fills last one call: :meth:`QuiddManager.matvec`
 empties the matvec, vector-sum, add and multiply tables when it starts,
 and :meth:`QuiddManager.inner_product` empties the inner-product table.
+A matvec entry holds the sum of its input block beside its result, so
+the vector-sum table is reached only for a column whose two gate blocks
+are both constant, or a constant gate.
 In a Grover run every iteration has a new state, so their entries would
 be dead by the next call anyway.  The row-sum table (keyed by gate
 blocks) and the span table outlive a call.  A collection keeps the
@@ -186,10 +189,12 @@ class QuiddManager:
                        self._vs_memo, self._rs_memo, self._ip_memo,
                        self._span_memo)
         # Deferred nodes of the running matvec: triple -> negative ref,
-        # the triples by ~ref, and the real nodes built from them.
+        # the triples by ~ref, the real nodes built from them, and the
+        # deferred nodes shifted by an offset.
         self._deferred: dict[tuple[int, int, int], int] = {}
         self._dnodes: list[tuple[int, int, int]] = []
         self._built: dict[tuple[int, int | None], int] = {}
+        self._shifted: dict[tuple[int, int], int] = {}
         self._freed = 0         # nodes released by collect()
         self._zero: int | None = None   # the terminal of cell (0, 0)
         # Nodes the row-sum table's results reach, for sweep(); None
@@ -400,8 +405,10 @@ class QuiddManager:
         returns the result's uniform offset beside it; only then are the
         deferred nodes built, with the offset in their terminals
         (:meth:`_build`).  Unreached nodes remain only where a block sums
-        two non-zero products, or where a block's two non-terminal halves
-        take different offsets.
+        two non-zero products.  Each call of the walk also returns the
+        sum of its input block, so a constant gate block takes its offset
+        from the call of the internal block on its column, and only a
+        column of two constant blocks walks :meth:`_vecsum_rec`.
 
         The matvec, vector-sum, add and multiply tables are emptied when
         the call starts, so their entries last one call; the deferred
@@ -418,46 +425,52 @@ class QuiddManager:
         # The shortcuts return the zero terminal, so it must exist.
         self._term(0j)
         try:
-            ref, off = self._matvec_rec(0, gate, vec, phase, k)
+            ref, off, _ = self._matvec_rec(0, gate, vec, phase, k)
             t = None if off == 0 else self._term(off)
             return self._build(ref, None if t == self._zero else t)
         finally:
             self._deferred.clear()
             self._dnodes.clear()
             self._built.clear()
+            self._shifted.clear()
 
     def _matvec_rec(self, m: int, g: int, w: int, p: int | None,
-                    k: int) -> tuple[int, complex]:
-        # Returns (ref, off) meaning the true block result is ref with off
-        # added to every entry.  Keeping the uniform part symbolic lets a
-        # level pass its partial sums upward without rewriting the deep
-        # child, so a product against a mostly-constant gate touches each
-        # result node once instead of once per level, and it keeps the
-        # uniform partial sums out of the terminal table.  A new internal
-        # node is not built here but deferred (a negative ref, see
-        # _defer), so matvec builds it once, with the top offset added.
+                    k: int) -> tuple[int, complex, complex | None]:
+        # Returns (ref, off, s): the true block result is ref with off
+        # added to every entry, and s is the sum of the phase-folded input
+        # block, bit for bit _vecsum_rec's, or None where the walk did not
+        # reach it (a zero input, or a side of two zero blocks below).
+        # Keeping the uniform part symbolic lets a level pass its partial
+        # sums upward without rewriting the deep child, so a product
+        # against a mostly-constant gate touches each result node once
+        # instead of once per level, and it keeps the uniform partial sums
+        # out of the terminal table.  A new internal node is not built
+        # here but deferred (a negative ref, see _defer), so matvec builds
+        # it once, with the top offset added.
         # Phase block p: folded into w where it turns constant, dropped if 1.
         value = self._value
         if p is not None and value[p] is not None:
             w, p = (w if value[p] == 1 else self._mul(p, w)), None
         gv, wv = value[g], value[w]
         if gv == 0 or wv == 0:
-            return self._zero, 0j
+            return self._zero, 0j, None
         if gv is not None:
             # Constant block: every row sums the same entries, so the whole
             # result is uniform and lives entirely in the offset.
-            return self._zero, gv * self._vecsum_rec(m, w, p, k)
+            s = self._vecsum_rec(m, w, p, k)
+            return self._zero, gv * s, s
         if wv is not None and p is None:
             # Constant vector segment: the result is the block's row-sum
             # profile scaled once, and the profile caches per gate node.
             # When every row sums the same (the diffusion operator's
             # diagonal blocks), the product is uniform and goes into the
             # offset like a constant block's.
+            s = wv * (1 << (k - m))
             rs = self._rowsum_rec(m, g, k)
             rsv = value[rs]
             if rsv is not None:
-                return self._zero, wv * rsv
-            return self._mul(w, rs), 0j
+                return self._zero, wv * rsv, s
+            return self._mul(w, rs), 0j, s
         key = (m, g, w, p)
         hit = self._mv_memo.get(key)
         if hit is not None:
@@ -489,18 +502,52 @@ class QuiddManager:
             p0 = p1 = p
         m1 = m + 1
         zero = self._zero
+        rec = self._matvec_rec
+        v00, v01, v10, v11 = value[g00], value[g01], value[g10], value[g11]
+        # Column side 0, (w0, p0), lies under blocks g00 and g10, side 1
+        # under g01 and g11.  The calls keep the order g00, g01, g10, g11,
+        # but a non-zero constant block takes no call where the sum of its
+        # side is known: its offset is its value times that sum, which
+        # each call returns.  A top block beside an internal one reads it
+        # from the call below it, a bottom block from the call above.
+        if v00 and v10 is None:
+            l0, c00, s0 = zero, None, None
+        else:
+            l0, c00, s0 = rec(m1, g00, w0, p0, k)
+        if v01 and v11 is None:
+            l1, c01, s1 = zero, None, None
+        else:
+            l1, c01, s1 = rec(m1, g01, w1, p1, k)
         # A zero side of a sum is skipped as _add would skip it; a summed
         # side that is deferred is built first, with no offset.
-        l0, c00 = self._matvec_rec(m1, g00, w0, p0, k)
-        l1, c01 = self._matvec_rec(m1, g01, w1, p1, k)
         lo = (l1 if l0 == zero else l0 if l1 == zero
               else self._add(self._build(l0, None), self._build(l1, None)))
-        lo_off = c00 + c01
-        h0, c10 = self._matvec_rec(m1, g10, w0, p0, k)
-        h1, c11 = self._matvec_rec(m1, g11, w1, p1, k)
+        if v10 and s0 is not None:
+            h0, c10 = zero, v10 * s0
+        else:
+            h0, c10, t = rec(m1, g10, w0, p0, k)
+            if s0 is None:
+                s0 = t
+        if v11 and s1 is not None:
+            h1, c11 = zero, v11 * s1
+        else:
+            h1, c11, t = rec(m1, g11, w1, p1, k)
+            if s1 is None:
+                s1 = t
         hi = (h1 if h0 == zero else h0 if h1 == zero
               else self._add(self._build(h0, None), self._build(h1, None)))
+        if c00 is None:
+            c00 = v00 * s0 if s0 is not None else rec(m1, g00, w0, p0, k)[1]
+        if c01 is None:
+            c01 = v01 * s1 if s1 is not None else rec(m1, g01, w1, p1, k)[1]
+        lo_off = c00 + c01
         hi_off = c10 + c11
+        if s0 is None or s1 is None:
+            s = None
+        elif w0 != w1 or p0 != p1:
+            s = s0 + s1
+        else:
+            s = 2 * s0
         if lo_off == hi_off:
             off = lo_off
         elif hi >= 0 and value[hi] is not None:
@@ -513,12 +560,12 @@ class QuiddManager:
             lo = self._term(value[lo] + (lo_off - hi_off))
         else:
             # Between two non-terminal sides the high side takes it; a
-            # deferred one is built with it directly.
+            # deferred one stays deferred (_shift).
             off = lo_off
             t = self._term(hi_off - lo_off)
             if t != zero:
-                hi = self._build(hi, t)
-        r = (lo if lo == hi else self._defer(rv, lo, hi)), off
+                hi = self._shift(hi, t)
+        r = (lo if lo == hi else self._defer(rv, lo, hi)), off, s
         return self._remember(self._mv_memo, key, r)
 
     def _defer(self, var: int, low: int, high: int) -> int:
@@ -550,6 +597,26 @@ class QuiddManager:
         var, low, high = self._dnodes[~ref]
         r = self._built[key] = self.node(var, self._build(low, t),
                                          self._build(high, t))
+        return r
+
+    def _shift(self, ref: int, t: int) -> int:
+        """``ref`` with terminal ``t`` added to every entry, a deferred ref
+        kept deferred.
+
+        It makes the terminals and the real nodes that ``_build(ref, t)``
+        would make, in the same order, but defers the nodes it would
+        build from deferred ones, so they are built once, with every
+        offset above them added.
+        """
+        if ref >= 0:
+            return self._add(t, ref)
+        key = (ref, t)
+        hit = self._shifted.get(key)
+        if hit is not None:
+            return hit
+        var, low, high = self._dnodes[~ref]
+        lo, hi = self._shift(low, t), self._shift(high, t)
+        r = self._shifted[key] = lo if lo == hi else self._defer(var, lo, hi)
         return r
 
     def _vecsum_rec(self, m: int, w: int, p: int | None, k: int) -> complex:

@@ -384,14 +384,11 @@ def test_diffusion_matvec_creates_only_nodes_its_result_reaches(k, marked):
     # Nothing is collected, so every node a matvec made is still in the
     # store beside its result: a matvec builds each result node once,
     # with the offset already added, and builds nothing else.  Two marked
-    # items in different halves of a block are the exception: that
-    # block's offset difference goes into its high half, built then and
-    # copied again when the top offset is added, leaving at most k - 1
-    # nodes per matvec unreached.
+    # items in different halves of a block give the block an offset
+    # difference between two internal halves, which stays deferred too.
     items = {"last": [(1 << k) - 3], "spread": _spread_marked(k, 1),
              "siblings": [(1 << k) - 4, (1 << k) - 3],
              "spread pair": _spread_marked(k, 2)}[marked]
-    allowed = k - 1 if marked == "spread pair" else 0
     m = QuiddManager()
     orc = oracle.compile_marked_set(m, k, items)
     diffusion = gates.diffusion(m, k)
@@ -404,7 +401,7 @@ def test_diffusion_matvec_creates_only_nodes_its_result_reaches(k, marked):
         created += len(new)
         unreached += len(new - m.reachable(state))
     assert created >= 30 * (k - 1)
-    assert unreached <= 30 * allowed, (unreached, created)
+    assert unreached == 0, (unreached, created)
 
 
 def test_single_marked_run_creates_few_nodes_per_iteration():
@@ -417,6 +414,45 @@ def test_single_marked_run_creates_few_nodes_per_iteration():
     rec = grover.run(m, orc, GroverParams(k=k, shots=0))
     assert rec.iterations > 800
     assert (m.nodes_created - before) / rec.iterations <= k + 5
+
+
+class WalkCountManager(QuiddManager):
+    """Records the _matvec_rec and _vecsum_rec calls of every matvec that
+    carries a phase, the diffusion matvecs of a run."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = [0, 0]
+        self.per_matvec = []
+
+    def matvec(self, gate, vec, k, phase=None):
+        self.calls = [0, 0]
+        r = super().matvec(gate, vec, k, phase)
+        if phase is not None:
+            self.per_matvec.append(tuple(self.calls))
+        return r
+
+    def _matvec_rec(self, m, g, w, p, k):
+        self.calls[0] += 1
+        return super()._matvec_rec(m, g, w, p, k)
+
+    def _vecsum_rec(self, m, w, p, k):
+        self.calls[1] += 1
+        return super()._vecsum_rec(m, w, p, k)
+
+
+@pytest.mark.parametrize("k", [12, 20])
+def test_single_marked_diffusion_matvec_walks_each_level_once(k):
+    # Each level of the diffusion has one internal block per column side
+    # and a constant one beside it, which reads the side's sum from the
+    # internal block's call: two calls per level and the top one.  Only
+    # the last level's two all-constant sides walk _vecsum_rec.
+    m = WalkCountManager()
+    orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+    rec = grover.run(m, orc, GroverParams(k=k, shots=0))
+    assert len(m.per_matvec) == rec.iterations > 0
+    assert {mv for mv, _ in m.per_matvec} == {2 * k + 1}
+    assert max(vs for _, vs in m.per_matvec) <= 2
 
 
 def test_frequent_collection_keeps_refs_and_results(monkeypatch):

@@ -538,7 +538,7 @@ class DeferWatchManager(QuiddManager):
         finally:
             self.walking -= 1
         if m == 0:
-            self.top = r
+            self.top = r[:2]
         return r
 
     def _build(self, ref, t):
@@ -577,6 +577,55 @@ def test_matvec_builds_the_deferred_result_once(case, k, gate, vec):
     dense = to_dense(m, got, space)
     assert from_dense(m, dense, space) == got
     assert np.max(np.abs(dense - gate @ np.array(vec, dtype=complex))) < 1e-12
+
+
+class SumWatchManager(QuiddManager):
+    """Counts the vector-sum walks that start on a column side of the top
+    level (level 1)."""
+
+    def __init__(self):
+        super().__init__()
+        self.top_sums = 0
+
+    def _vecsum_rec(self, m, w, p, k):
+        self.top_sums += m == 1
+        return super()._vecsum_rec(m, w, p, k)
+
+
+# Top-level quadrants [[A, B], [C, D]] of an 8 x 8 gate: "I" internal,
+# "Z" zero, a number a constant.  A and C lie on column side 0, B and D
+# on side 1.  Only a side with no internal block is walked for its sum.
+@pytest.mark.parametrize("quadrants, sums", [
+    pytest.param(((0.5, -0.25), ("I", "I")), 0, id="constant above internal"),
+    pytest.param((("I", "I"), (0.3j, 0.5)), 0, id="constant below internal"),
+    pytest.param(((0.5, "I"), (-0.25, "I")), 1, id="both constant"),
+    pytest.param((("Z", 0.5), (-0.25, "Z")), 2, id="zero beside constant"),
+    pytest.param((("Z", "I"), ("I", "Z")), 0, id="zero beside internal"),
+])
+@pytest.mark.parametrize("phased", [False, True], ids=["plain", "phased"])
+def test_matvec_constant_block_arrangements_match_dense(quadrants, sums,
+                                                        phased):
+    k, space = 3, vector_space(3)
+    rng = np.random.default_rng(25)
+
+    def quadrant(q):
+        if q == "I":
+            return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        return np.full((4, 4), 0 if q == "Z" else q, dtype=complex)
+
+    gate = np.block([[quadrant(q) for q in row] for row in quadrants])
+    vec = rng.normal(size=8) + 0.5j
+    # A phase that splits below the top level, so both sides carry one.
+    phase = np.array([1, -1, 1, 1, -1, 1, 1, 1] if phased else [1] * 8,
+                     dtype=complex)
+    m = SumWatchManager()
+    rg = from_dense(m, gate, matrix_space(k))
+    rv = from_dense(m, vec, space)
+    got = m.matvec(rg, rv, k, from_dense(m, phase, space) if phased else None)
+    assert m.top_sums == sums
+    dense = to_dense(m, got, space)
+    assert from_dense(m, dense, space) == got
+    assert np.max(np.abs(dense - gate @ (phase * vec))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +877,12 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
     rng = np.random.default_rng(8)
     # matvec empties the matvec, vector-sum, add and multiply tables when
     # it starts, so the last product must fill the first three (apply
-    # refills the multiply table after it).  a's constant quadrant gives
-    # its product vector sums beside its matvec entries.
+    # refills the multiply table after it).  a's right column is two
+    # constant quadrants, which take a vector-sum walk beside its matvec
+    # entries; a constant block beside a non-constant one takes none.
     dense_a = rng.normal(size=(8, 8)).astype(complex)
     dense_a[:4, 4:] = 0.5
+    dense_a[4:, 4:] = -0.25
     a = from_dense(m, dense_a, matrix_space(3))
     b = from_dense(m, rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
     u = from_dense(m, rng.normal(size=8).astype(complex), vector_space(3))

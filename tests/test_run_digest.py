@@ -19,7 +19,10 @@ RUN_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "run_digest.py"
 
 RECORDS = "1eef2d0ed7ef73e2a70bdb1f0dff2abc966a2348d302638721c1f905efc8972e"
 NODES = "47167f941b87f13dbb686474302a7cfcda4531cbcf92d53d4b18b09cd5d1547d"
-CREATED = 758_909
+# 758,909 until a block's offset difference between two internal halves
+# stayed deferred: the copy of the high half built with it, which the
+# next offset above copied again, is no longer made.
+CREATED = 496_125
 
 
 def test_run_digest_at_the_default_collection_setting():
