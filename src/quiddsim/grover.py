@@ -11,10 +11,11 @@ Recording the trace allocates no node, and the :class:`Trace` keeps no
 Python object per iteration: its statistics sit in flat columns.  One
 inner product of the state with itself, masked by the marked-set
 indicator, gives both the success probability and the norm.  One walk
-of the state's nodes beyond the run's fixed diagrams (oracle phase,
-indicator, diffusion), whose own nodes are counted once per run, gives
-the live count, the state's span for the space checks and the terminals
-the run keeps when it sweeps the terminal table after the iteration.
+of the state's nodes gives the live count, the state's span for the
+space checks and the terminals the run keeps when it sweeps the
+terminal table after the iteration; the nodes it shares with the run's
+fixed diagrams (oracle phase, indicator, diffusion), whose own nodes are
+counted once per run, are walked through but not counted again.
 """
 
 from __future__ import annotations
@@ -272,10 +273,10 @@ def _stats(m: QuiddManager, trace: Trace, state: int, indicator: int,
     """Append the trace entry for ``state`` to ``trace`` and return the
     state's terminals beyond the run's fixed diagrams; allocates no node.
 
-    The state is walked once (:meth:`QuiddManager.survey`), and only
-    beyond the fixed diagrams (oracle phase, indicator, diffusion):
-    ``fixed`` holds their nodes, ``fixed_internal`` how many are
-    internal, and the live count is the union of the state with them.
+    The state is walked once (:meth:`QuiddManager.survey`), through the
+    fixed diagrams (oracle phase, indicator, diffusion) without counting
+    their nodes again: ``fixed`` holds them, ``fixed_internal`` how many
+    are internal, and the live count is the union of the state with them.
     The walk also enters the state's span, so the space checks of the
     calls that follow, and of the next iteration's matvec, walk nothing.
     One inner product of the state with itself, masked by the 0/1
@@ -308,18 +309,16 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     The run's floor is the store size once it has built its fixed
     diagrams (diffusion and indicator).  After every iteration's trace
     entry the run sweeps the terminal table
-    (:meth:`QuiddManager.sweep`): of the terminals above the floor that
-    the iteration made or the previous state reached, it drops those the
-    new state does not reach.  Once ``COLLECT_EVERY`` nodes have been
-    created since the last collection, and once more after the last
-    iteration, it frees the nodes above the floor that it no longer
-    needs (:meth:`QuiddManager.collect`), swept terminals included.
+    (:meth:`QuiddManager.sweep`): of the terminals above the floor, it
+    drops those the new state does not reach.  Once ``COLLECT_EVERY``
+    nodes have been created since the last collection, and once more
+    after the last iteration, it frees the nodes above the floor that it
+    no longer needs (:meth:`QuiddManager.collect`), swept terminals
+    included.
     Sweeps do not depend on the collection setting, so neither do the
     results or what the run leaves in the manager: its fixed diagrams,
     the two intermediate diagrams :func:`indicator_vector` builds on the
-    way to the indicator, the final state, the diffusion's row sums and
-    the few terminals that were never swept, such as those of the
-    initial state's construction.
+    way to the indicator, the final state and the diffusion's row sums.
     Every ref issued before the run stays valid, and so does the
     returned ``final_state``; any other ref the run's own calls produced
     may have been freed or renumbered.
@@ -354,22 +353,20 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
 
     state = initialize_state(m, k)
     trace = Trace(marked_idx is not None, unmarked_idx is not None)
-    terminals = _stats(m, trace, state, indicator, marked_idx,
-                       unmarked_idx, fixed, fixed_internal, k)
+    _stats(m, trace, state, indicator, marked_idx, unmarked_idx, fixed,
+           fixed_internal, k)
     queries = 0
     loop_start = time.perf_counter_ns()
     for _ in range(iterations):
         # One iteration: the diffusion times the oracle's phase product,
         # in one matvec that never builds the product.
-        since = m.size
         state = m.matvec(diffusion_ref, state, k, oracle.phase_vector)
         queries += 1
         current = _stats(m, trace, state, indicator, marked_idx,
                          unmarked_idx, fixed, fixed_internal, k)
-        m.sweep(floor, since, terminals, current)
-        terminals = current
+        m.sweep(floor, current)
         if m.nodes_created - collected_at >= COLLECT_EVERY:
-            state, *terminals = m.collect(floor, (state, *terminals))
+            (state,) = m.collect(floor, (state,))
             collected_at = m.nodes_created
     loop_ns = time.perf_counter_ns() - loop_start
     (state,) = m.collect(floor, (state,))

@@ -38,13 +38,14 @@ a floor index are never referenced from below it.
 roots do not reach and renumbers the survivors; refs below the floor are
 untouched and stay valid, refs above it are valid only as the renumbered
 roots it returns.  A terminal leaves the store only after it has left
-the terminal table: :meth:`QuiddManager.sweep` drops the terminals a
-caller no longer reaches from the table (a cell met again gets a new
-representative), and the next collection frees them.  Every other
-terminal above the floor survives a collection whether or not a root
-reaches it, and no terminal below the floor is ever swept, so a cell's
-representative changes only at a sweep and results do not depend on
-when collections happen.
+the terminal table: :meth:`QuiddManager.sweep` drops from the table
+every terminal above the floor that the caller's current terminals do
+not include (a cell met again gets a new representative), and the next
+collection frees them.  The table is in ref order, so a sweep reads
+only its entries above the floor.  Every other terminal above the floor
+survives a collection whether or not a root reaches it, and no terminal
+below the floor is ever swept, so a cell's representative changes only
+at a sweep and results do not depend on when collections happen.
 
 A matvec builds each node of its result once, after the offset of the
 whole result is known (:meth:`QuiddManager.matvec`), so a single-marked
@@ -55,11 +56,10 @@ Computed tables
 Each operation remembers its results in a computed table.  A table is
 emptied when it reaches ``CACHE_LIMIT`` entries.  The tables a product
 or an inner product fills last one call: :meth:`QuiddManager.matvec`
-empties the matvec, vector-sum, add and multiply tables when it starts,
-and :meth:`QuiddManager.inner_product` empties the inner-product table.
+empties the matvec, add and multiply tables when it starts, and
+:meth:`QuiddManager.inner_product` empties the inner-product table.
 A matvec entry holds the sum of its input block beside its result, so
-the vector-sum table is reached only for a column whose two gate blocks
-are both constant, or a constant gate.
+no table of its own keeps vector sums.
 In a Grover run every iteration has a new state, so their entries would
 be dead by the next call anyway.  The row-sum table (keyed by gate
 blocks) and the span table outlive a call.  A collection keeps the
@@ -76,7 +76,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from itertools import chain
 
 # Sorts after every real decision variable, so terminals never win a
 # top-variable comparison.
@@ -181,13 +180,11 @@ class QuiddManager:
         self._add_memo: dict = {}
         self._mul_memo: dict = {}
         self._mv_memo: dict = {}
-        self._vs_memo: dict = {}
         self._rs_memo: dict = {}
         self._ip_memo: dict = {}
         self._span_memo: dict = {}
         self._memos = (self._add_memo, self._mul_memo, self._mv_memo,
-                       self._vs_memo, self._rs_memo, self._ip_memo,
-                       self._span_memo)
+                       self._rs_memo, self._ip_memo, self._span_memo)
         # Deferred nodes of the running matvec: triple -> negative ref,
         # the triples by ~ref, the real nodes built from them, and the
         # deferred nodes shifted by an offset.
@@ -407,20 +404,20 @@ class QuiddManager:
         (:meth:`_build`).  Unreached nodes remain only where a block sums
         two non-zero products.  Each call of the walk also returns the
         sum of its input block, so a constant gate block takes its offset
-        from the call of the internal block on its column, and only a
-        column of two constant blocks walks :meth:`_vecsum_rec`.
+        from the call of the internal block on its column; where no such
+        call is made, the constant block walks its input itself, as its
+        own cofactor, for the sum alone.
 
-        The matvec, vector-sum, add and multiply tables are emptied when
-        the call starts, so their entries last one call; the deferred
-        nodes are emptied when it returns; the row-sum table is kept."""
+        The matvec, add and multiply tables are emptied when the call
+        starts, so their entries last one call; the deferred nodes are
+        emptied when it returns; the row-sum table is kept."""
         if k < 1:
             raise SpaceMismatchError("k must be >= 1")
         self._check_matrix(gate, k)
         self._check_vector(vec, k)
         if phase is not None:
             self._check_vector(phase, k)
-        for memo in (self._mv_memo, self._vs_memo, self._add_memo,
-                     self._mul_memo):
+        for memo in (self._mv_memo, self._add_memo, self._mul_memo):
             memo.clear()
         # The shortcuts return the zero terminal, so it must exist.
         self._term(0j)
@@ -438,8 +435,8 @@ class QuiddManager:
                     k: int) -> tuple[int, complex, complex | None]:
         # Returns (ref, off, s): the true block result is ref with off
         # added to every entry, and s is the sum of the phase-folded input
-        # block, bit for bit _vecsum_rec's, or None where the walk did not
-        # reach it (a zero input, or a side of two zero blocks below).
+        # block, or None where the walk did not reach it (a zero input, or
+        # a side of two zero blocks below).
         # Keeping the uniform part symbolic lets a level pass its partial
         # sums upward without rewriting the deep child, so a product
         # against a mostly-constant gate touches each result node once
@@ -454,18 +451,15 @@ class QuiddManager:
         gv, wv = value[g], value[w]
         if gv == 0 or wv == 0:
             return self._zero, 0j, None
-        if gv is not None:
-            # Constant block: every row sums the same entries, so the whole
-            # result is uniform and lives entirely in the offset.
-            s = self._vecsum_rec(m, w, p, k)
-            return self._zero, gv * s, s
         if wv is not None and p is None:
             # Constant vector segment: the result is the block's row-sum
             # profile scaled once, and the profile caches per gate node.
-            # When every row sums the same (the diffusion operator's
-            # diagonal blocks), the product is uniform and goes into the
-            # offset like a constant block's.
+            # When every row sums the same (a constant block, or the
+            # diffusion operator's diagonal blocks), the product is
+            # uniform and goes into the offset.
             s = wv * (1 << (k - m))
+            if gv is not None:
+                return self._zero, gv * s, s
             rs = self._rowsum_rec(m, g, k)
             rsv = value[rs]
             if rsv is not None:
@@ -480,6 +474,28 @@ class QuiddManager:
         var, low, high = self._var, self._low, self._high
         rv = 2 * m
         cv = rv + 1
+        if var[w] == rv:
+            w0, w1 = low[w], high[w]
+        else:
+            w0 = w1 = w
+        if p is not None and var[p] == rv:
+            p0, p1 = low[p], high[p]
+        else:
+            p0 = p1 = p
+        m1 = m + 1
+        zero = self._zero
+        rec = self._matvec_rec
+        if gv is not None:
+            # Constant block, its own cofactor: every row sums the same
+            # entries, so the whole result is uniform and lives entirely
+            # in the offset.  The walk only sums the input.
+            s = rec(m1, g, w0, p0, k)[2]
+            if w0 != w1 or p0 != p1:
+                s1 = rec(m1, g, w1, p1, k)[2]
+                s = (0j if s is None else s) + (0j if s1 is None else s1)
+            else:
+                s = 2 * s
+            return self._remember(self._mv_memo, key, (zero, gv * s, s))
         if var[g] == rv:
             g0, g1 = low[g], high[g]
         else:
@@ -492,17 +508,6 @@ class QuiddManager:
             g10, g11 = low[g1], high[g1]
         else:
             g10 = g11 = g1
-        if var[w] == rv:
-            w0, w1 = low[w], high[w]
-        else:
-            w0 = w1 = w
-        if p is not None and var[p] == rv:
-            p0, p1 = low[p], high[p]
-        else:
-            p0 = p1 = p
-        m1 = m + 1
-        zero = self._zero
-        rec = self._matvec_rec
         v00, v01, v10, v11 = value[g00], value[g01], value[g10], value[g11]
         # Column side 0, (w0, p0), lies under blocks g00 and g10, side 1
         # under g01 and g11.  The calls keep the order g00, g01, g10, g11,
@@ -618,35 +623,6 @@ class QuiddManager:
         lo, hi = self._shift(low, t), self._shift(high, t)
         r = self._shifted[key] = lo if lo == hi else self._defer(var, lo, hi)
         return r
-
-    def _vecsum_rec(self, m: int, w: int, p: int | None, k: int) -> complex:
-        """Sum of all 2^(k-m) entries of a vector diagram below level m."""
-        value = self._value
-        if p is not None and value[p] is not None:
-            w, p = (w if value[p] == 1 else self._mul(p, w)), None
-        wv = value[w]
-        if wv is not None and p is None:
-            return wv * (1 << (k - m))
-        key = (m, w, p)
-        hit = self._vs_memo.get(key)
-        if hit is not None:
-            return hit
-        var, low, high = self._var, self._low, self._high
-        rv = 2 * m
-        if p is not None and var[p] == rv:
-            p0, p1 = low[p], high[p]
-        else:
-            p0 = p1 = p
-        if var[w] == rv:
-            w0, w1 = low[w], high[w]
-        else:
-            w0 = w1 = w
-        if w0 != w1 or p0 != p1:
-            r = (self._vecsum_rec(m + 1, w0, p0, k)
-                 + self._vecsum_rec(m + 1, w1, p1, k))
-        else:
-            r = 2 * self._vecsum_rec(m + 1, w, p, k)
-        return self._remember(self._vs_memo, key, r)
 
     def _rowsum_rec(self, m: int, g: int, k: int) -> int:
         """Vector of per-row sums of a matrix block below level m."""
@@ -816,68 +792,67 @@ class QuiddManager:
     def survey(self, root: int, exclude=frozenset()
                ) -> tuple[int, list[int], tuple[int, bool]]:
         """The internal-node count and the terminals of ``root`` beyond
-        ``exclude`` (a :meth:`reachable` set), and its span, from one walk.
+        the nodes of ``exclude``, and its span, from one walk.
 
-        The span (:meth:`_span`) is entered into the span table, so the
-        space checks of later calls on ``root`` walk nothing.  It is
-        exact where the walk stops at ``exclude``: each internal node of
-        ``exclude`` that the walk meets adds its own span.
+        The walk goes through the nodes of ``exclude`` (a set) without
+        counting or listing them, so the span (:meth:`_span`) is read off
+        the same walk.  It is entered into the span table, so the space
+        checks of later calls on ``root`` walk nothing.
         """
         value, var, low, high = self._value, self._var, self._low, self._high
         seen = set()
-        met = set()             # internal nodes of exclude reached
         stack = [root]
         while stack:
             n = stack.pop()
-            if n in seen:
-                continue
-            if n in exclude:
+            if n not in seen:
+                seen.add(n)
                 if value[n] is None:
-                    met.add(n)
-                continue
-            seen.add(n)
-            if value[n] is None:
-                stack.append(low[n])
-                stack.append(high[n])
+                    stack.append(low[n])
+                    stack.append(high[n])
         used = [var[n] for n in seen if value[n] is None]
-        top, odd = max(used, default=-1), any(v & 1 for v in used)
-        for n in met:
-            n_top, n_odd = self._span(n)
-            top, odd = max(top, n_top), odd or n_odd
-        span = self._remember(self._span_memo, root, (top, odd))
-        return len(used), [n for n in seen if value[n] is not None], span
+        span = self._remember(self._span_memo, root, (
+            max(used, default=-1), any(v & 1 for v in used)))
+        terminals = [n for n in seen
+                     if value[n] is not None and n not in exclude]
+        internal = len(seen) - len(seen & exclude) - len(terminals)
+        return internal, terminals, span
 
     # ------------------------------------------------------------------
     # dead-node collection
 
-    def sweep(self, floor: int, since: int, previous, current) -> None:
+    def sweep(self, floor: int, current) -> None:
         """Drop from the terminal table the terminals a caller has left.
 
-        The candidates are the terminals at or above ``floor`` that are
-        in ``previous`` or were made at or after ref ``since``; only
-        those refs are scanned.  A candidate is dropped unless
-        ``current`` holds it, the row-sum table's results reach it, or it
-        is the zero terminal.  A dropped terminal stays in the store, out
-        of reach of new diagrams (its cell gets a new representative when
-        it is next met), until :meth:`collect` frees it.  So the caller
-        may keep no diagram above ``floor`` that reaches a candidate
-        outside ``current``.  Terminals below ``floor`` are never dropped:
-        refs there outlive every collection, and a second terminal in
-        their cell would break canonicity.
+        The candidates are the table's terminals at or above ``floor``.
+        The table is in ref order (:meth:`_term` gives each new cell the
+        next ref, and :meth:`collect` keeps their order), so the scan
+        starts at the newest entry and stops at the first ref below
+        ``floor``.  A candidate is dropped unless ``current`` holds it,
+        the row-sum table's results reach it, or it is the zero terminal.
+        A dropped terminal stays in the store, out of reach of new
+        diagrams (its cell gets a new representative when it is next
+        met), until :meth:`collect` frees it.  So the caller may keep no
+        diagram above ``floor`` that reaches a terminal above ``floor``
+        outside ``current``.  Terminals below ``floor`` are never
+        dropped: refs there outlive every collection, and a second
+        terminal in their cell would break canonicity.
         """
-        value = self._value
+        terminals = self._terminals
         keep = {*current, self._zero}
-        dead = [n for n in chain(previous, range(since, len(value)))
-                if n >= floor and value[n] is not None and n not in keep]
+        dead = []
+        for key, n in reversed(terminals.items()):
+            if n < floor:
+                break
+            if n not in keep:
+                dead.append((key, n))
         if not dead:
             return
         reach = self._rs_reach
         if reach is None:
             reach = self._rs_reach = self.reachable(*self._rs_memo.values())
-        terminals = self._terminals
-        for n in dead:
+        for key, n in dead:
             if n not in reach:
-                del terminals[_grid_key(value[n])]
+                del terminals[key]
 
     def collect(self, floor: int, roots: tuple[int, ...]) -> tuple[int, ...]:
         """Free the nodes at or above ``floor`` that no root reaches.

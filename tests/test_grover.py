@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quiddsim import gates, grover, oracle, quidd
+from quiddsim import cnf, gates, grover, oracle, quidd
 from quiddsim.grover import GroverParams, NoSolutionError
 from quiddsim.quidd import QuiddManager, SpaceMismatchError
 
@@ -417,42 +417,37 @@ def test_single_marked_run_creates_few_nodes_per_iteration():
 
 
 class WalkCountManager(QuiddManager):
-    """Records the _matvec_rec and _vecsum_rec calls of every matvec that
-    carries a phase, the diffusion matvecs of a run."""
+    """Records the _matvec_rec calls of every matvec that carries a phase,
+    the diffusion matvecs of a run."""
 
     def __init__(self):
         super().__init__()
-        self.calls = [0, 0]
+        self.calls = 0
         self.per_matvec = []
 
     def matvec(self, gate, vec, k, phase=None):
-        self.calls = [0, 0]
+        self.calls = 0
         r = super().matvec(gate, vec, k, phase)
         if phase is not None:
-            self.per_matvec.append(tuple(self.calls))
+            self.per_matvec.append(self.calls)
         return r
 
     def _matvec_rec(self, m, g, w, p, k):
-        self.calls[0] += 1
+        self.calls += 1
         return super()._matvec_rec(m, g, w, p, k)
-
-    def _vecsum_rec(self, m, w, p, k):
-        self.calls[1] += 1
-        return super()._vecsum_rec(m, w, p, k)
 
 
 @pytest.mark.parametrize("k", [12, 20])
 def test_single_marked_diffusion_matvec_walks_each_level_once(k):
     # Each level of the diffusion has one internal block per column side
     # and a constant one beside it, which reads the side's sum from the
-    # internal block's call: two calls per level and the top one.  Only
-    # the last level's two all-constant sides walk _vecsum_rec.
+    # internal block's call: two calls per level and the top one.  The
+    # last level's constant blocks meet constant inputs and walk nothing.
     m = WalkCountManager()
     orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
     rec = grover.run(m, orc, GroverParams(k=k, shots=0))
     assert len(m.per_matvec) == rec.iterations > 0
-    assert {mv for mv, _ in m.per_matvec} == {2 * k + 1}
-    assert max(vs for _, vs in m.per_matvec) <= 2
+    assert set(m.per_matvec) == {2 * k + 1}
 
 
 def test_frequent_collection_keeps_refs_and_results(monkeypatch):
@@ -546,9 +541,9 @@ def test_collection_bounds_run_memory():
 
 
 class TableWatchManager(QuiddManager):
-    """Counts the entries each iteration enters into the matvec,
-    vector-sum and inner-product tables (an iteration starts with its
-    matvec), and keeps what those tables hold when collect() is called."""
+    """Counts the entries each iteration enters into the matvec and
+    inner-product tables (an iteration starts with its matvec), and keeps
+    what those tables hold when collect() is called."""
 
     def __init__(self):
         super().__init__()
@@ -556,8 +551,7 @@ class TableWatchManager(QuiddManager):
         self.held = None
 
     def _remember(self, cache, key, r):
-        if cache is self._mv_memo or cache is self._vs_memo \
-                or cache is self._ip_memo:
+        if cache is self._mv_memo or cache is self._ip_memo:
             self.entered += 1
         return super()._remember(cache, key, r)
 
@@ -568,8 +562,7 @@ class TableWatchManager(QuiddManager):
 
     def collect(self, floor, roots):
         self.most_entered = max(self.most_entered, self.entered)
-        self.held = sum(map(len, (self._mv_memo, self._vs_memo,
-                                  self._ip_memo)))
+        self.held = len(self._mv_memo) + len(self._ip_memo)
         return super().collect(floor, roots)
 
 
@@ -590,8 +583,8 @@ def test_run_interns_few_terminals_per_iteration(monkeypatch):
     # Collecting every 64 allocations leaves the store holding the run's
     # live diagrams plus the terminals still in the terminal table: the
     # swept ones are freed, so the store does not grow with the
-    # iteration count.  No sweep visits the 2k or so partial products of
-    # the initial state's construction.
+    # iteration count.  The first sweep drops the terminals of the
+    # initial state's construction too, so they need no allowance.
     monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
     k = 20
     m = QuiddManager()
@@ -599,7 +592,7 @@ def test_run_interns_few_terminals_per_iteration(monkeypatch):
     fixed = m.size
     rec = grover.run(m, orc, GroverParams(k=k, shots=0))
     fixed += rec.peak_live_internal_nodes + grover.COLLECT_EVERY
-    assert m.size <= fixed + 2 * k, (m.size, rec.iterations)
+    assert m.size <= fixed, (m.size, rec.iterations)
 
 
 def test_terminal_table_does_not_grow_with_the_iteration_count():
@@ -640,6 +633,66 @@ def test_run_never_sweeps_a_terminal_made_before_it():
     state = grover.initialize_state(m, k)
     grover.run(m, orc, GroverParams(k=k, shots=1))
     assert m.terminal(2 ** (-k / 2)) == state
+
+
+class FloorWatchManager(QuiddManager):
+    """Keeps the floor of the last collection, a run's floor."""
+
+    def collect(self, floor, roots):
+        self.floor = floor
+        return super().collect(floor, roots)
+
+
+@pytest.mark.parametrize("k, terminals, size", [(12, 19, 115),
+                                                (20, 27, 187)])
+def test_run_leaves_only_reached_terminals_above_its_floor(k, terminals,
+                                                           size):
+    # Above the run's floor the terminal table holds the final state's
+    # terminals and those the row-sum table reaches, and nothing else:
+    # the sweeps drop the initial state's construction too.
+    m = FloorWatchManager()
+    orc = oracle.compile_marked_set(m, k, [(1 << k) - 3])
+    rec = grover.run(m, orc, GroverParams(k=k, shots=0))
+
+    def above(*roots):
+        return {n for n in m.reachable(*roots)
+                if m.is_terminal(n) and n >= m.floor}
+
+    table = {n for n in m._terminals.values() if n >= m.floor}
+    assert table == above(rec.final_state) | above(*m._rs_memo.values())
+    assert (len(m._terminals), m.size) == (terminals, size)
+
+
+class OrderWatchManager(QuiddManager):
+    """Checks at every sweep that the terminal table is in ref order."""
+
+    def __init__(self):
+        super().__init__()
+        self.sweeps = 0
+
+    def sweep(self, floor, current):
+        refs = list(self._terminals.values())
+        assert refs == sorted(refs)
+        self.sweeps += 1
+        return super().sweep(floor, current)
+
+
+def test_terminal_table_stays_in_ref_order(monkeypatch):
+    # sweep scans the table from its newest entry down to the floor, so
+    # its refs must ascend at every sweep, across collections and across
+    # runs and compilations that share the manager.
+    monkeypatch.setattr(grover, "COLLECT_EVERY", 64)
+    k = 12
+    m = OrderWatchManager()
+    for compile_oracle in (
+            lambda: oracle.compile_marked_set(m, k, [5]),
+            lambda: oracle.compile_marked_set(m, k, [5, 900, 2000]),
+            lambda: oracle.compile_cnf(m, cnf.planted_3cnf(k, seed=k).formula),
+            lambda: oracle.compile_marked_set(m, k, _spread_marked(k, 17))):
+        grover.run(m, compile_oracle(), GroverParams(k=k, shots=2))
+        refs = list(m._terminals.values())
+        assert refs == sorted(refs)
+    assert m.sweeps > 100
 
 
 class SpanWatchManager(NeverFreeManager):

@@ -580,16 +580,18 @@ def test_matvec_builds_the_deferred_result_once(case, k, gate, vec):
 
 
 class SumWatchManager(QuiddManager):
-    """Counts the vector-sum walks that start on a column side of the top
-    level (level 1)."""
+    """Counts the input-sum walks that start on a column side of the top
+    level (level 1): the calls of a non-zero constant block with a
+    non-zero input."""
 
     def __init__(self):
         super().__init__()
         self.top_sums = 0
 
-    def _vecsum_rec(self, m, w, p, k):
-        self.top_sums += m == 1
-        return super()._vecsum_rec(m, w, p, k)
+    def _matvec_rec(self, m, g, w, p, k):
+        self.top_sums += (m == 1 and self._value[g] not in (None, 0)
+                          and self._value[w] != 0)
+        return super()._matvec_rec(m, g, w, p, k)
 
 
 # Top-level quadrants [[A, B], [C, D]] of an 8 x 8 gate: "I" internal,
@@ -875,11 +877,11 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
     monkeypatch.setattr(quidd, "CACHE_LIMIT", 8)
     m = QuiddManager()
     rng = np.random.default_rng(8)
-    # matvec empties the matvec, vector-sum, add and multiply tables when
-    # it starts, so the last product must fill the first three (apply
-    # refills the multiply table after it).  a's right column is two
-    # constant quadrants, which take a vector-sum walk beside its matvec
-    # entries; a constant block beside a non-constant one takes none.
+    # matvec empties the matvec, add and multiply tables when it starts,
+    # so the last product must fill the first two (apply refills the
+    # multiply table after it).  a's right column is two constant
+    # quadrants, so the walk that sums a constant block's input enters
+    # matvec entries too.
     dense_a = rng.normal(size=(8, 8)).astype(complex)
     dense_a[:4, 4:] = 0.5
     dense_a[4:, 4:] = -0.25
@@ -947,21 +949,20 @@ def test_frequently_collected_run_leaves_a_well_formed_state(monkeypatch):
 def test_collect_frees_swept_terminals_and_keeps_the_floor():
     m = QuiddManager()
     floor = m.size
-    quarter = m.terminal(0.25)              # in the table, reached by nothing
-    since = m.size
+    m.terminal(0.25)                        # in the table, reached by nothing
     one = m.terminal(1)
     half = m.terminal(0.5 + 1e-16)          # the cell's first representative
     m.node(0, one, m.terminal(1 / 3))       # dead
     live = m.node(2, half, one)
-    m.sweep(floor, since, (), (half, one))  # drops the 1/3 terminal
+    m.sweep(floor, (half, one))             # drops the 1/4 and 1/3 terminals
     (live,) = m.collect(floor, (live,))
-    assert m.size == floor + 4              # quarter, one, half, live
-    assert m.terminal(0.25) == quarter
+    assert m.size == floor + 3              # one, half, live
     one, half = m.terminal(1), m.terminal(0.5)
     assert m.value(half) == 0.5 + 1e-16
     assert m.dump(live).splitlines()[-1] == f"{live} 2 {half} {one}"
-    # The swept third was freed: the next one is made at the top.
-    assert m.terminal(1 / 3) == m.size - 1 == live + 1
+    # The swept quarter and third were freed: each is made anew at the top.
+    assert m.terminal(0.25) == m.size - 1 == live + 1
+    assert m.terminal(1 / 3) == m.size - 1 == live + 2
 
 
 def test_sweep_keeps_the_zero_terminal_and_terminals_below_the_floor():
@@ -969,7 +970,7 @@ def test_sweep_keeps_the_zero_terminal_and_terminals_below_the_floor():
     below = m.terminal(0.75)
     floor = m.size
     zero = m.terminal(0)
-    m.sweep(floor, 0, (below, zero), ())
+    m.sweep(floor, ())
     assert m.terminal(0.75) == below
     assert m.terminal(0) == zero
     assert m.size == floor + 1
@@ -992,8 +993,7 @@ def test_collect_keeps_row_sums_and_spans_and_stays_consistent():
     assert row_sums and set(m._span_memo) > {g}
     span = m._span_memo[g]
     v, w = m.collect(floor, (v, w))
-    assert not any((m._add_memo, m._mul_memo, m._mv_memo, m._vs_memo,
-                    m._ip_memo))
+    assert not any((m._add_memo, m._mul_memo, m._mv_memo, m._ip_memo))
     assert m._span_memo == {g: span}
     assert m._rs_memo.keys() == row_sums.keys()
     for key, r in m._rs_memo.items():
