@@ -59,12 +59,15 @@ def randomized_search(predicate, n_items: int, mode: str, seed: int = 0,
 
     ``with_replacement`` draws independently (bounded by ``max_queries``
     if given); ``without_replacement`` walks a lazy random permutation
-    and never exceeds N queries.
+    and never exceeds N queries.  A negative ``max_queries`` raises
+    ``ValueError``.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
     if mode not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         raise ValueError(f"unknown mode: {mode!r}")
+    if max_queries is not None and max_queries < 0:
+        raise ValueError(f"max_queries must be >= 0, got {max_queries}")
     rng = random.Random(seed)
     queries = 0
     if mode == WITH_REPLACEMENT:

@@ -318,7 +318,8 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     Sweeps do not depend on the collection setting, so neither do the
     results or what the run leaves in the manager: its fixed diagrams,
     the two intermediate diagrams :func:`indicator_vector` builds on the
-    way to the indicator, the final state and the diffusion's row sums.
+    way to the indicator and the final state; the diffusion's row sums
+    are kept as numbers, so they hold no node.
     Every ref issued before the run stays valid, and so does the
     returned ``final_state``; any other ref the run's own calls produced
     may have been freed or renumbered.

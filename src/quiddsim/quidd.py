@@ -33,7 +33,8 @@ Conventions
 Node lifetime
 -------------
 Children always precede their parents in the node store, so nodes above
-a floor index are never referenced from below it.
+a floor index are never referenced from below it.  The zero terminal is
+interned first, as ref 0 (``_ZERO``), so it lies below every floor.
 :meth:`QuiddManager.collect` frees the nodes above a floor that given
 roots do not reach and renumbers the survivors; refs below the floor are
 untouched and stay valid, refs above it are valid only as the renumbered
@@ -45,7 +46,9 @@ collection frees them.  The table is in ref order, so a sweep reads
 only its entries above the floor.  Every other terminal above the floor
 survives a collection whether or not a root reaches it, and no terminal
 below the floor is ever swept, so a cell's representative changes only
-at a sweep and results do not depend on when collections happen.
+at a sweep and results do not depend on when collections happen.  The
+kernels keep no node above a floor between calls (the row-sum table
+holds numbers), so sweep and collect read only the terminal table.
 
 A matvec builds each node of its result once, after the offset of the
 whole result is known (:meth:`QuiddManager.matvec`), so a single-marked
@@ -62,10 +65,10 @@ A matvec entry holds the sum of its input block beside its result, so
 no table of its own keeps vector sums.
 In a Grover run every iteration has a new state, so their entries would
 be dead by the next call anyway.  The row-sum table (keyed by gate
-blocks) and the span table outlive a call.  A collection keeps the
-row-sum entries of gates below the floor, renumbering their results,
-and the span entries of refs below the floor, and empties the rest.
-Results never depend on what a table holds.
+blocks, holding numbers) and the span table outlive a call.  A
+collection keeps the row-sum and span entries keyed below the floor
+unchanged and empties the rest.  Results never depend on what a table
+holds.
 
 A manager and every ref it issued are confined to one thread of control.
 Refs from different managers must never be mixed.
@@ -93,6 +96,9 @@ CACHE_LIMIT = 400_000
 
 _ADD = "add"
 _MUL = "mul"
+
+_ZERO = 0           # the zero terminal's ref: every manager interns it first
+_MISS = object()    # a computed-table miss where None is a valid result
 
 
 class QuiddError(Exception):
@@ -164,18 +170,18 @@ class QuiddManager:
     emptied once it holds ``CACHE_LIMIT`` entries; those of
     :meth:`matvec` and :meth:`inner_product` are also emptied when the
     call starts, and only the row-sum and span tables outlive a call.
-    The zero terminal's ref is kept on the manager for the kernels'
-    shortcuts, and :meth:`collect` renews it.  The manager takes no
+    The zero terminal, an exact ``0j``, is ref 0 from the start, so the
+    kernels' shortcuts return it as a constant.  The manager takes no
     settings.
     """
 
     def __init__(self):
-        self._var: list[int] = []
-        self._low: list[int] = []
-        self._high: list[int] = []
-        self._value: list[complex | None] = []
+        self._var: list[int] = [TERMINAL_VAR]
+        self._low: list[int] = [-1]
+        self._high: list[int] = [-1]
+        self._value: list[complex | None] = [0j]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._terminals: dict[tuple[int, int], int] = {}
+        self._terminals: dict[tuple[int, int], int] = {(0, 0): _ZERO}
         # One computed table per operation, each bounded by CACHE_LIMIT.
         self._add_memo: dict = {}
         self._mul_memo: dict = {}
@@ -193,10 +199,6 @@ class QuiddManager:
         self._built: dict[tuple[int, int | None], int] = {}
         self._shifted: dict[tuple[int, int], int] = {}
         self._freed = 0         # nodes released by collect()
-        self._zero: int | None = None   # the terminal of cell (0, 0)
-        # Nodes the row-sum table's results reach, for sweep(); None
-        # once the table has changed since they were taken.
-        self._rs_reach: set | None = None
 
     # ------------------------------------------------------------------
     # construction and inspection
@@ -227,12 +229,7 @@ class QuiddManager:
             raise InvalidAmplitudeError(f"non-finite amplitude: {z!r}") from None
         ref = self._terminals.get(key)
         if ref is None:
-            if key == (0, 0):
-                # Canonical zero keeps annihilator shortcuts exact.
-                ref = self._zero = self._new(TERMINAL_VAR, -1, -1, 0j)
-            else:
-                ref = self._new(TERMINAL_VAR, -1, -1, z)
-            self._terminals[key] = ref
+            ref = self._terminals[key] = self._new(TERMINAL_VAR, -1, -1, z)
         return ref
 
     def node(self, var: int, low: int, high: int) -> int:
@@ -340,7 +337,7 @@ class QuiddManager:
         # Identity and annihilator shortcuts return operands untouched, so
         # e.g. multiplying by a constant-one diagram is reference-neutral.
         if va == 0 or vb == 0:
-            return self._zero
+            return _ZERO
         if va == 1:
             return b
         if vb == 1:
@@ -406,7 +403,8 @@ class QuiddManager:
         sum of its input block, so a constant gate block takes its offset
         from the call of the internal block on its column; where no such
         call is made, the constant block walks its input itself, as its
-        own cofactor, for the sum alone.
+        own cofactor, for the sum alone.  A constant input under a block
+        whose rows share one sum (:meth:`_rowsum_rec`) adds to the offset.
 
         The matvec, add and multiply tables are emptied when the call
         starts, so their entries last one call; the deferred nodes are
@@ -419,12 +417,10 @@ class QuiddManager:
             self._check_vector(phase, k)
         for memo in (self._mv_memo, self._add_memo, self._mul_memo):
             memo.clear()
-        # The shortcuts return the zero terminal, so it must exist.
-        self._term(0j)
         try:
             ref, off, _ = self._matvec_rec(0, gate, vec, phase, k)
             t = None if off == 0 else self._term(off)
-            return self._build(ref, None if t == self._zero else t)
+            return self._build(ref, None if t == _ZERO else t)
         finally:
             self._deferred.clear()
             self._dnodes.clear()
@@ -450,21 +446,19 @@ class QuiddManager:
             w, p = (w if value[p] == 1 else self._mul(p, w)), None
         gv, wv = value[g], value[w]
         if gv == 0 or wv == 0:
-            return self._zero, 0j, None
+            return _ZERO, 0j, None
         if wv is not None and p is None:
-            # Constant vector segment: the result is the block's row-sum
-            # profile scaled once, and the profile caches per gate node.
-            # When every row sums the same (a constant block, or the
-            # diffusion operator's diagonal blocks), the product is
-            # uniform and goes into the offset.
+            # Constant vector segment: when every row of the block sums
+            # the same (a constant block, or the diffusion operator's
+            # diagonal blocks), the product is uniform and goes into the
+            # offset.  Otherwise the general path below splits the block,
+            # the input being both of its own cofactors.
             s = wv * (1 << (k - m))
             if gv is not None:
-                return self._zero, gv * s, s
+                return _ZERO, gv * s, s
             rs = self._rowsum_rec(m, g, k)
-            rsv = value[rs]
-            if rsv is not None:
-                return self._zero, wv * rsv, s
-            return self._mul(w, rs), 0j, s
+            if rs is not None:
+                return _ZERO, wv * rs, s
         key = (m, g, w, p)
         hit = self._mv_memo.get(key)
         if hit is not None:
@@ -483,7 +477,7 @@ class QuiddManager:
         else:
             p0 = p1 = p
         m1 = m + 1
-        zero = self._zero
+        zero = _ZERO
         rec = self._matvec_rec
         if gv is not None:
             # Constant block, its own cofactor: every row sums the same
@@ -624,14 +618,18 @@ class QuiddManager:
         r = self._shifted[key] = lo if lo == hi else self._defer(var, lo, hi)
         return r
 
-    def _rowsum_rec(self, m: int, g: int, k: int) -> int:
-        """Vector of per-row sums of a matrix block below level m."""
-        gv = self._value[g]
+    def _rowsum_rec(self, m: int, g: int, k: int) -> complex | None:
+        """The sum shared by every row of a matrix block below level m,
+        or None where the rows of the block or of a quadrant differ.
+        Partial sums are interned as :meth:`_add` would intern them, and
+        each is its terminal's value, a grid-cell representative."""
+        value = self._value
+        gv = value[g]
         if gv is not None:
-            return self._term(gv * (1 << (k - m)))
+            return value[self._term(gv * (1 << (k - m)))]
         key = (m, g)
-        hit = self._rs_memo.get(key)
-        if hit is not None:
+        hit = self._rs_memo.get(key, _MISS)
+        if hit is not _MISS:
             return hit
         var, low, high = self._var, self._low, self._high
         rv = 2 * m
@@ -640,13 +638,14 @@ class QuiddManager:
         g00, g01 = (low[g0], high[g0]) if var[g0] == cv else (g0, g0)
         g10, g11 = (low[g1], high[g1]) if var[g1] == cv else (g1, g1)
         m1 = m + 1
-        lo = self._add(self._rowsum_rec(m1, g00, k),
-                       self._rowsum_rec(m1, g01, k))
-        hi = self._add(self._rowsum_rec(m1, g10, k),
-                       self._rowsum_rec(m1, g11, k))
-        r = self.node(rv, lo, hi)
-        self._rs_reach = None
-        return self._remember(self._rs_memo, key, r)
+        sums = []
+        for a, b in ((g00, g01), (g10, g11)):
+            sa, sb = self._rowsum_rec(m1, a, k), self._rowsum_rec(m1, b, k)
+            sums.append(None if sa is None or sb is None else
+                        sb if sa == 0 else sa if sb == 0 else
+                        value[self._term(sa + sb)])
+        lo, hi = sums
+        return self._remember(self._rs_memo, key, lo if lo == hi else None)
 
     # ------------------------------------------------------------------
     # scalar queries
@@ -823,12 +822,12 @@ class QuiddManager:
     def sweep(self, floor: int, current) -> None:
         """Drop from the terminal table the terminals a caller has left.
 
-        The candidates are the table's terminals at or above ``floor``.
-        The table is in ref order (:meth:`_term` gives each new cell the
-        next ref, and :meth:`collect` keeps their order), so the scan
-        starts at the newest entry and stops at the first ref below
-        ``floor``.  A candidate is dropped unless ``current`` holds it,
-        the row-sum table's results reach it, or it is the zero terminal.
+        The candidates are the table's terminals at or above ``floor``,
+        the zero terminal (ref 0) excepted.  The table is in ref order
+        (:meth:`_term` gives each new cell the next ref, and
+        :meth:`collect` keeps their order), so the scan starts at the
+        newest entry and stops at the first ref below ``floor`` or at
+        ref 0.  A candidate is dropped unless ``current`` holds it.
         A dropped terminal stays in the store, out of reach of new
         diagrams (its cell gets a new representative when it is next
         met), until :meth:`collect` frees it.  So the caller may keep no
@@ -838,46 +837,42 @@ class QuiddManager:
         terminal in their cell would break canonicity.
         """
         terminals = self._terminals
-        keep = {*current, self._zero}
+        keep = set(current)
         dead = []
         for key, n in reversed(terminals.items()):
-            if n < floor:
+            if n < floor or n == _ZERO:
                 break
             if n not in keep:
-                dead.append((key, n))
-        if not dead:
-            return
-        reach = self._rs_reach
-        if reach is None:
-            reach = self._rs_reach = self.reachable(*self._rs_memo.values())
-        for key, n in dead:
-            if n not in reach:
-                del terminals[key]
+                dead.append(key)
+        for key in dead:
+            del terminals[key]
 
     def collect(self, floor: int, roots: tuple[int, ...]) -> tuple[int, ...]:
         """Free the nodes at or above ``floor`` that no root reaches.
 
-        Refs below ``floor`` are left as they are.  The results of the
-        row-sum table's entries for gates below ``floor`` count as roots,
-        and so does every terminal still in the terminal table, so only
-        terminals :meth:`sweep` dropped are freed.  The survivors keep
-        their order and close up from ``floor``.  Returns the roots
-        renumbered; every other ref at or above ``floor`` is invalid
-        afterwards.  The row-sum entries kept are renumbered, the
-        span entries of refs below ``floor`` are kept, and every other
+        Refs below ``floor`` are left as they are.  Every terminal still
+        in the terminal table counts as a root beside ``roots``, so only
+        terminals :meth:`sweep` dropped are freed, and the zero terminal
+        stays ref 0.  The survivors keep their order and close up from
+        ``floor``.  Returns the roots renumbered; every other ref at or
+        above ``floor`` is invalid afterwards.  The row-sum and span
+        entries keyed below ``floor`` are kept unchanged, and every other
         computed-table entry is dropped, since it may name a freed ref.
-        The work is linear in the size of the region.
+        The work is linear in the size of the region.  A negative
+        ``floor`` raises :class:`QuiddError`.
         """
+        if floor < 0:
+            raise QuiddError(f"collect floor must be >= 0, got {floor}")
         var, low, high, value = self._var, self._low, self._high, self._value
         size = len(var)
         if floor >= size:
             return roots
-        row_sums = {key: r for key, r in self._rs_memo.items()
+        row_sums = {key: s for key, s in self._rs_memo.items()
                     if key[1] < floor}
         spans = {r: s for r, s in self._span_memo.items() if r < floor}
         # Children precede parents, so the nodes below the floor are
         # closed under children and the walk can stop there.
-        live = self.reachable(*roots, *row_sums.values(), exclude=range(floor))
+        live = self.reachable(*roots, exclude=range(floor))
         terminals = self._terminals
         live.update(r for r in terminals.values() if r >= floor)
         unique = self._unique
@@ -894,16 +889,13 @@ class QuiddManager:
             lst.extend(tail)
         terminals.update({key: moved[r] for key, r in terminals.items()
                           if r >= floor})
-        self._zero = terminals.get((0, 0))
         unique.update(((var[n], low[n], high[n]), n)
                       for n in range(floor, len(var)) if value[n] is None)
         self._freed += size - len(var)
         for memo in self._memos:
             memo.clear()
-        self._rs_memo.update({key: moved.get(r, r)
-                              for key, r in row_sums.items()})
+        self._rs_memo.update(row_sums)
         self._span_memo.update(spans)
-        self._rs_reach = None
         return tuple(moved.get(r, r) for r in roots)
 
     # ------------------------------------------------------------------

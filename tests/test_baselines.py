@@ -85,6 +85,15 @@ def test_randomized_rejects_unknown_mode_and_empty_range():
         randomized_search(frozenset([0]).__contains__, 0, WITH_REPLACEMENT)
 
 
+@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_randomized_rejects_a_negative_query_budget(mode):
+    with pytest.raises(ValueError, match="max_queries"):
+        randomized_search(frozenset([0]).__contains__, 4, mode, max_queries=-1)
+    # A zero budget is valid: no query is made.
+    assert (randomized_search(frozenset([0]).__contains__, 4, mode,
+                              max_queries=0) == QueryLedger(0, False, None))
+
+
 def test_randomized_all_marked_costs_one_query():
     pred = frozenset(range(32)).__contains__
     for mode in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):

@@ -97,12 +97,14 @@ def test_gates_intern_like_the_dense_build():
 
 @pytest.mark.parametrize("k", [1, 2, 6, 20])
 def test_diffusion_builds_three_nodes_per_qubit(k):
-    # On a fresh manager the build creates nothing it does not keep:
-    # 3 internal nodes per qubit and the two terminals.
+    # The build creates nothing it does not keep: 3 internal nodes per
+    # qubit and the two terminals.  At k=1 the diagonal terminal
+    # 2/2 - 1 is the zero, which a manager holds from the start.
     m = QuiddManager()
+    before = m.nodes_created
     d = gates.diffusion(m, k)
     assert m.count_nodes(d) == (3 * k, 2)
-    assert m.nodes_created == 3 * k + 2
+    assert m.nodes_created - before == 3 * k + 2 - (k == 1)
 
 
 def test_phase_shift_k1(manager):

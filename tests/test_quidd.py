@@ -15,13 +15,14 @@ from quiddsim.quidd import (
     GRID,
     InvalidAmplitudeError,
     MaskError,
+    QuiddError,
     QuiddManager,
     SpaceMismatchError,
     VariableOrderError,
 )
 
-from dense_ref import (SizeCapError, from_dense, matrix_space, to_dense,
-                       vector_space)
+from dense_ref import (SizeCapError, diffusion_matrix, from_dense,
+                       hadamard_matrix, matrix_space, to_dense, vector_space)
 
 amplitudes = st.builds(
     complex,
@@ -486,6 +487,7 @@ def fused_walk_is_exact(fm, rm, phase, vec, product):
 @given(phased_products())
 @example((2, "diffusion", None, [0.5] * 4, [1, 1, -1, 1]))  # one Grover step
 @example((2, "hadamard", None, [0.5] * 4, [1, 0, 0.3j, 1]))  # constant vector
+@example((2, "hadamard", None, [0.5] * 4, [1] * 4))  # and no effective phase
 @example((1, "blocks", np.array([[0, 0.5], [0, 0]]), [1, 2], [0, -1]))
 def test_matvec_with_phase_matches_matvec_of_the_built_product(case):
     k, kind, gate, vec, phase = case
@@ -501,6 +503,11 @@ def test_matvec_with_phase_matches_matvec_of_the_built_product(case):
     product = rm.apply("mul", rp, rv)
     want_ref = rm.matvec(rg, product, k)
     got, want = to_dense(fm, got_ref, space), to_dense(rm, want_ref, space)
+    # Both sides share the kernel, so the dense product checks it.
+    dense_gate = {"diffusion": diffusion_matrix,
+                  "hadamard": hadamard_matrix}.get(kind, lambda _: gate)(k)
+    assert np.allclose(got, dense_gate @ (np.array(phase) * np.array(vec)),
+                       rtol=1e-9, atol=1e-9)
     # The deferred result never duplicates a node the manager holds.
     assert from_dense(fm, got, space) == got_ref
     if fused_walk_is_exact(fm, rm, rp, rv, product):
@@ -967,38 +974,79 @@ def test_collect_frees_swept_terminals_and_keeps_the_floor():
 
 def test_sweep_keeps_the_zero_terminal_and_terminals_below_the_floor():
     m = QuiddManager()
+    assert (m.size, m.terminal(0), m.value(0)) == (1, 0, 0j)
     below = m.terminal(0.75)
     floor = m.size
-    zero = m.terminal(0)
+    m.terminal(0.25)
     m.sweep(floor, ())
     assert m.terminal(0.75) == below
-    assert m.terminal(0) == zero
-    assert m.size == floor + 1
+    assert m.terminal(0.25) == floor + 1    # swept: a new representative
+    # Every ref is at or above floor 0, yet the zero is never a candidate.
+    m.sweep(0, ())
+    assert m.collect(0, ()) == ()
+    assert (m.size, m.terminal(0)) == (1, 0)
+
+
+def test_collect_rejects_a_negative_floor():
+    m = QuiddManager()
+    n = m.node(0, m.terminal(0.25), m.terminal(1))
+    size = m.size
+    with pytest.raises(QuiddError):
+        m.collect(-1, (n,))
+    assert m.size == size
+    assert m.collect(0, (n,)) == (n,)
+
+
+def dense_row_sum(block):
+    """The sum every row of a square block shares, or None where the rows
+    of the block or of a quadrant, at any depth, differ."""
+    if len(block) == 1:
+        return block[0, 0]
+    h = len(block) // 2
+    sums = [dense_row_sum(q) for q in (block[:h, :h], block[:h, h:],
+                                       block[h:, :h], block[h:, h:])]
+    if any(x is None for x in sums):
+        return None
+    lo, hi = sums[0] + sums[1], sums[2] + sums[3]
+    return lo if abs(lo - hi) < 1e-12 else None
 
 
 def test_collect_keeps_row_sums_and_spans_and_stays_consistent():
     m = QuiddManager()
     rng = np.random.default_rng(12)
-    g = from_dense(m, rng.normal(size=(8, 8)).astype(complex), matrix_space(3))
+    dense_g = rng.normal(size=(8, 8)).astype(complex)
+    # A quadrant whose rows share their sums at every depth, beside
+    # random ones whose rows do not.
+    a, b, c, d = rng.normal(size=4)
+    dense_g[4:, :4] = np.kron([[a, b], [b, a]], [[c, d], [d, c]])
+    g = from_dense(m, dense_g, matrix_space(3))
     floor = m.size
     # Equal neighbours give constant segments, so the row-sum table fills.
     v = from_dense(m, np.repeat(rng.normal(size=4), 2).astype(complex),
                    vector_space(3))
     w = m.matvec(g, v, 3)
-    m.matvec(g, _random_vector(m, rng, 3), 3)
+    u = from_dense(m, np.repeat(rng.normal(size=2), 4).astype(complex),
+                   vector_space(3))
+    m.matvec(g, u, 3)
     m.inner_product(v, w, 3)
     want = to_dense(m, w, vector_space(3))
-    row_sums = {key: to_dense(m, r, vector_space(3))
-                for key, r in m._rs_memo.items()}
-    assert row_sums and set(m._span_memo) > {g}
+    row_sums = dict(m._rs_memo)
+    assert set(m._span_memo) > {g}
     span = m._span_memo[g]
     v, w = m.collect(floor, (v, w))
     assert not any((m._add_memo, m._mul_memo, m._mv_memo, m._ip_memo))
     assert m._span_memo == {g: span}
-    assert m._rs_memo.keys() == row_sums.keys()
-    for key, r in m._rs_memo.items():
-        assert_well_formed(m, r)
-        assert np.array_equal(to_dense(m, r, vector_space(3)), row_sums[key])
+    assert m._rs_memo == row_sums
+    assert None in row_sums.values()
+    assert any(s is not None for s in row_sums.values())
+    for (level, block), s in row_sums.items():
+        # The block ignores the variables above its level, so its dense
+        # form tiles the whole matrix.
+        n = 1 << (3 - level)
+        want_sum = dense_row_sum(to_dense(m, block, matrix_space(3))[:n, :n])
+        assert (s is None) == (want_sum is None), (level, block)
+        if s is not None:
+            assert isinstance(s, complex) and abs(s - want_sum) < 1e-12
     assert m.matvec(g, v, 3) == w
     assert np.array_equal(to_dense(m, w, vector_space(3)), want)
 
@@ -1015,17 +1063,18 @@ def test_kernels_return_the_zero_terminal_after_collect_moves_it():
     g = from_dense(m, dense_g, matrix_space(k))
     u = from_dense(m, dense_u, vector_space(k))
     floor = m.size
-    # The zero terminal is interned above the floor, behind an internal
-    # node the collection frees, so the collection moves it down.
+    # Garbage above the floor, so the collection frees and moves nodes;
+    # the zero terminal is ref 0, below every floor, and stays there.
     from_dense(m, np.arange(1.0, 5.0), vector_space(k))
-    stale = m.terminal(0)
     dense_v = np.array([0.0, 3.0, 0.0, -2.0], dtype=complex)
     v = from_dense(m, dense_v, vector_space(k))
     dense_x = rng.normal(size=4).astype(complex)
     x = from_dense(m, dense_x, vector_space(k))
+    size = m.size
     v, x = m.collect(floor, (v, x))
+    assert m.size < size
     zero = m.terminal(0)
-    assert zero != stale
+    assert zero == 0
     assert m.matvec(g, zero, k) == zero
     assert m.matvec(zero, u, k) == zero
     assert m.apply("mul", zero, u) == zero
@@ -1034,6 +1083,7 @@ def test_kernels_return_the_zero_terminal_after_collect_moves_it():
         for vec, dense_vec in ((u, dense_u), (v, dense_v), (x, dense_x)):
             got = to_dense(m, m.matvec(gate, vec, k), vector_space(k))
             assert np.max(np.abs(got - dense_gate @ dense_vec)) < 1e-12
+    assert m.terminal(0) == 0
 
 
 # Each case reaches one recursive builder or walker, and nothing else that

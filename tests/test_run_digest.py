@@ -18,10 +18,11 @@ from quiddsim import grover
 RUN_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "run_digest.py"
 
 RECORDS = "1eef2d0ed7ef73e2a70bdb1f0dff2abc966a2348d302638721c1f905efc8972e"
-# 47167f94... until the sweep read its candidates from the terminal
-# table: the terminals of each run's initial state construction are now
-# swept and freed, so the store ends without them.
-NODES = "631cf6e93f3b63c1ff2fc579eb827b293ff74bff4b95ba3401a8080c5ac28922"
+# 631cf6e9... until the row-sum table held numbers and the zero terminal
+# became ref 0: each store starts with the zero, and the sweeps now free
+# the terminals the row-sum table's nodes used to keep.  Earlier,
+# 47167f94... until the sweep read its candidates from the terminal table.
+NODES = "733ab701d3c6ad73a8844fee8aa1c21250798ee86aea5ecde52afcd5debc0e5f"
 # 758,909 until a block's offset difference between two internal halves
 # stayed deferred: the copy of the high half built with it, which the
 # next offset above copied again, is no longer made.
