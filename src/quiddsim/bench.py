@@ -62,7 +62,8 @@ class ExperimentConfig:
     one of them may be given; beside either, ``marked_count`` stays
     unset and ``k_max`` equals ``k_min``.  A CNF header gives k, so
     beside a CNF file ``k_min`` and ``k_max`` stay unset.
-    ``iterations`` and ``iteration_multiplier`` exclude each other.
+    ``iterations`` and ``iteration_multiplier`` exclude each other;
+    neither may be negative, and the multiplier must be finite.
     """
 
     kind: str
@@ -115,6 +116,12 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.marked_count is not None and self.marked_count < 0:
             raise ValueError("marked count must be >= 0")
+        if self.iterations is not None and self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.iteration_multiplier is not None and not (
+                0 <= self.iteration_multiplier < math.inf):
+            raise ValueError("iteration multiplier must be finite and >= 0, "
+                             f"got {self.iteration_multiplier!r}")
 
 
 def _fmt(x) -> str:
@@ -219,7 +226,9 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingFit:
 
     ``wall_ns`` is the iteration loop only; oracle compilation and gate
     construction are excluded.  The median over repetitions feeds the
-    fit.
+    fit.  The runs keep no per-iteration trace, which nothing here
+    reads, so the loop time is the simulation's and the final state's
+    statistics.
     """
     rows = []
     samples = []
@@ -233,7 +242,8 @@ def run_scaling(cfg: ExperimentConfig) -> ScalingFit:
             marked = _marked_for(rep_seed, k, cfg.marked_count)
             oracle = compile_marked_set(m, k, marked)
             record = grover.run(m, oracle,
-                                grover.GroverParams(k=k, seed=rep_seed))
+                                grover.GroverParams(k=k, seed=rep_seed),
+                                trace=False)
             walls.append(record.loop_ns)
             peak = max(peak, record.peak_live_internal_nodes)
             iterations = record.iterations
@@ -330,7 +340,8 @@ def run_repeat_all(cfg: ExperimentConfig) -> RepeatAllResult:
     differs between repetitions: repetition ``reps`` of experiment
     ``exp`` draws once from the shared sampler with
     ``random.Random(_derive(seed, exp, reps))``, exactly the draw a full
-    run seeded that way would make."""
+    run seeded that way would make.  The simulation keeps no
+    per-iteration trace, since only its final state is read."""
     k, count = cfg.k_min, cfg.marked_count
     if count < 1:
         raise ValueError("repeat_until_all_found needs at least one marked item")
@@ -338,7 +349,8 @@ def run_repeat_all(cfg: ExperimentConfig) -> RepeatAllResult:
     target = set(marked)
     m = QuiddManager()
     oracle = compile_marked_set(m, k, marked)
-    record = grover.run(m, oracle, grover.GroverParams(k=k, shots=0))
+    record = grover.run(m, oracle, grover.GroverParams(k=k, shots=0),
+                        trace=False)
     draw = grover.sampler(m, record.final_state, k)
     rows = []
     counts = []

@@ -8,6 +8,7 @@ convention of the diagram code.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -190,10 +191,14 @@ def planted_3cnf(num_vars: int, ratio: float = 4.2,
     assignment, so the instance is satisfiable by construction.
 
     The clause count is round(ratio * num_vars), which at the default
-    ratio sits near the hard satisfiability band.
+    ratio sits near the hard satisfiability band.  A negative or
+    non-finite ratio raises :class:`FormulaError`.
     """
     if num_vars < 3:
         raise FormulaError("planted 3-CNF needs at least 3 variables")
+    if not 0 <= ratio < math.inf:
+        raise FormulaError(f"clause ratio must be finite and >= 0, "
+                           f"got {ratio!r}")
     rng = random.Random(seed)
     hidden = tuple(bool(rng.getrandbits(1)) for _ in range(num_vars))
     num_clauses = round(ratio * num_vars)

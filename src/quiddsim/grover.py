@@ -1,22 +1,23 @@
-"""Grover search on diagram state vectors, with full per-iteration tracing.
+"""Grover search on diagram state vectors, with per-iteration tracing on demand.
 
 One iteration, an oracle phase flip and then the inversion about the
 mean, is one diffusion matvec that never builds the flipped state.  The
 engine counts exactly one oracle query per iteration, records amplitudes,
 success probability, norm and live node footprint after every iteration,
-and samples the final state without mutating it: :func:`sampler` sums its
+or, for a caller that reads no trace, after the last one only, and
+samples the final state without mutating it: :func:`sampler` sums its
 subtree masses once, then draws any number of shots.
 
 Recording the trace allocates no node, and the :class:`Trace` keeps no
 Python object per iteration: its statistics sit in flat columns.  One
 inner product of the state with itself, masked by the marked-set
 indicator, gives both the success probability and the norm.  One walk
-of the state's nodes gives the live count, the state's span for the
-space checks and the terminals the run keeps when it sweeps the
-terminal table after the iteration; the nodes it shares with the run's
-fixed diagrams (oracle phase, indicator, diffusion), whose own nodes are
-counted once per run, are walked through but not counted again.
-"""
+of the state's nodes, made after every iteration with or without the
+trace, gives the live count, the state's span for the space checks and
+the terminals the run keeps when it sweeps the terminal table after the
+iteration; the nodes it shares with the run's fixed diagrams (oracle
+phase, indicator, diffusion), whose own nodes are counted once per run,
+are walked through but not counted again."""
 
 from __future__ import annotations
 
@@ -77,7 +78,9 @@ def optimal_iterations(n_items: int, marked_count: int) -> int:
 class GroverParams:
     """Run parameters.  ``iterations`` of None means the ideal count for
     the oracle's marked count; a run sized for another count M passes
-    ``iterations=optimal_iterations(2**k, M)``."""
+    ``iterations=optimal_iterations(2**k, M)``.  ``k``, ``iterations``
+    and ``shots`` must be ints (not bools), or :class:`TypeError` is
+    raised when the parameters are made."""
 
     k: int
     iterations: int | None = None
@@ -85,6 +88,12 @@ class GroverParams:
     shots: int = 1
 
     def __post_init__(self):
+        for name in ("k", "iterations", "shots"):
+            value = getattr(self, name)
+            if value is None and name == "iterations":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.iterations is not None and self.iterations < 0:
@@ -181,9 +190,11 @@ class Trace(Sequence):
 @dataclass(frozen=True)
 class GroverRun:
     """Complete record of one run.  Everything except the wall-clock
-    fields is a pure function of (oracle, params).  Equality and the
-    hash leave out the final state's ref and the wall-clock times, so
-    two runs with the same results compare and hash equal."""
+    fields is a pure function of (oracle, params) and whether the run
+    kept its trace: a run without it holds only the trace's last entry,
+    as a one-element tuple.  Equality and the hash leave out the final
+    state's ref and the wall-clock times, so two runs with the same
+    results compare and hash equal."""
 
     params: GroverParams
     k: int
@@ -191,7 +202,7 @@ class GroverRun:
     iterations: int
     queries: int
     no_solution: bool
-    trace: Trace
+    trace: Trace | tuple[IterationStats]
     measurements: tuple[int, ...]
     peak_live_internal_nodes: int
     final_state: int = field(compare=False)
@@ -267,35 +278,27 @@ def measure(m: QuiddManager, state: int, k: int, rng: random.Random) -> int:
     return sampler(m, state, k)(rng)
 
 
-def _stats(m: QuiddManager, trace: Trace, state: int, indicator: int,
+def _stats(m: QuiddManager, state: int, indicator: int,
            marked_idx: int | None, unmarked_idx: int | None,
-           fixed: set, fixed_internal: int, k: int) -> list[int]:
-    """Append the trace entry for ``state`` to ``trace`` and return the
-    state's terminals beyond the run's fixed diagrams; allocates no node.
+           k: int) -> tuple[complex | None, complex | None, float, float]:
+    """The statistics of ``state`` beyond its live count: the marked and
+    unmarked amplitudes, the success probability and the squared norm.
+    Allocates no node.
 
-    The state is walked once (:meth:`QuiddManager.survey`), through the
-    fixed diagrams (oracle phase, indicator, diffusion) without counting
-    their nodes again: ``fixed`` holds them, ``fixed_internal`` how many
-    are internal, and the live count is the union of the state with them.
-    The walk also enters the state's span, so the space checks of the
-    calls that follow, and of the next iteration's matvec, walk nothing.
     One inner product of the state with itself, masked by the 0/1
     ``indicator``, gives the success probability (the masked sum) and
     the squared norm (the full sum), so the masked state is never built.
     """
-    internal, terminals, _ = m.survey(state, fixed)
     marked_amp = (m.entry_at(state, marked_idx, k)
                   if marked_idx is not None else None)
     unmarked_amp = (m.entry_at(state, unmarked_idx, k)
                     if unmarked_idx is not None else None)
     p, norm_sq = m.inner_product(state, state, k, indicator)
-    p = min(max(p.real, 0.0), 1.0)
-    trace._append(marked_amp, unmarked_amp, p, norm_sq.real,
-                  fixed_internal + internal)
-    return terminals
+    return marked_amp, unmarked_amp, min(max(p.real, 0.0), 1.0), norm_sq.real
 
 
-def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
+def run(m: QuiddManager, oracle: Oracle, params: GroverParams, *,
+        trace: bool = True) -> GroverRun:
     """Execute a full Grover run and return its record.
 
     With zero marked items the run still completes (the state stays
@@ -306,15 +309,26 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     +/-1, or a count that differs from ``oracle.marked_count``, raises
     :class:`OracleError` before any iteration.
 
+    With ``trace`` (the default) the record's trace holds an entry for
+    the initial state and for every iteration.  Without it the run
+    computes the statistics of the final state only, and the trace is a
+    one-element tuple holding the entry for iteration ``iterations``,
+    equal to the last entry of the full trace.  Every state is still
+    walked once (:meth:`QuiddManager.survey`): the walk gives the live
+    count, whose maximum is ``peak_live_internal_nodes`` either way, and
+    the terminals the sweep keeps.  Everything else in the record, the
+    final state and what the run leaves in the manager are the same
+    with and without the trace; ``loop_ns`` covers the final state's
+    statistics in both.
+
     The run's floor is the store size once it has built its fixed
-    diagrams (diffusion and indicator).  After every iteration's trace
-    entry the run sweeps the terminal table
-    (:meth:`QuiddManager.sweep`): of the terminals above the floor, it
-    drops those the new state does not reach.  Once ``COLLECT_EVERY``
-    nodes have been created since the last collection, and once more
-    after the last iteration, it frees the nodes above the floor that it
-    no longer needs (:meth:`QuiddManager.collect`), swept terminals
-    included.
+    diagrams (diffusion and indicator).  After every iteration's walk
+    the run sweeps the terminal table (:meth:`QuiddManager.sweep`): of
+    the terminals above the floor, it drops those the new state does not
+    reach.  Once ``COLLECT_EVERY`` nodes have been created since the
+    last collection, and once more after the last iteration, it frees
+    the nodes above the floor that it no longer needs
+    (:meth:`QuiddManager.collect`), swept terminals included.
     Sweeps do not depend on the collection setting, so neither do the
     results or what the run leaves in the manager: its fixed diagrams,
     the two intermediate diagrams :func:`indicator_vector` builds on the
@@ -353,9 +367,15 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
     collected_at = m.nodes_created
 
     state = initialize_state(m, k)
-    trace = Trace(marked_idx is not None, unmarked_idx is not None)
-    _stats(m, trace, state, indicator, marked_idx, unmarked_idx, fixed,
-           fixed_internal, k)
+    entries = Trace(marked_idx is not None, unmarked_idx is not None)
+    stats = (indicator, marked_idx, unmarked_idx, k)
+    # The walk through the fixed diagrams counts the state's own nodes,
+    # lists the terminals the sweep keeps and enters the state's span,
+    # so the space checks that follow walk nothing.
+    internal, _, _ = m.survey(state, fixed)
+    live = peak = fixed_internal + internal
+    if trace:
+        entries._append(*_stats(m, state, *stats), live)
     queries = 0
     loop_start = time.perf_counter_ns()
     for _ in range(iterations):
@@ -363,12 +383,19 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
         # in one matvec that never builds the product.
         state = m.matvec(diffusion_ref, state, k, oracle.phase_vector)
         queries += 1
-        current = _stats(m, trace, state, indicator, marked_idx,
-                         unmarked_idx, fixed, fixed_internal, k)
+        internal, current, _ = m.survey(state, fixed)
+        live = fixed_internal + internal
+        if live > peak:
+            peak = live
+        if trace:
+            entries._append(*_stats(m, state, *stats), live)
         m.sweep(floor, current)
         if m.nodes_created - collected_at >= COLLECT_EVERY:
             (state,) = m.collect(floor, (state,))
             collected_at = m.nodes_created
+    if not trace:
+        entries = (IterationStats(iterations, *_stats(m, state, *stats),
+                                  live),)
     loop_ns = time.perf_counter_ns() - loop_start
     (state,) = m.collect(floor, (state,))
 
@@ -384,9 +411,9 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams) -> GroverRun:
         iterations=iterations,
         queries=queries,
         no_solution=no_solution,
-        trace=trace,
+        trace=entries,
         measurements=measurements,
-        peak_live_internal_nodes=max(trace._live),
+        peak_live_internal_nodes=peak,
         final_state=state,
         loop_ns=loop_ns,
         wall_ns=time.perf_counter_ns() - t_start,

@@ -52,6 +52,38 @@ def test_scaling_csv_layout_and_determinism(tmp_path):
             (sb.k, sb.iterations, sb.peak_internal_nodes)
 
 
+def record_trace_settings(monkeypatch):
+    """Wrap grover.run so that each call's ``trace`` setting is listed."""
+    settings = []
+    run = grover.run
+
+    def recording(*args, **kwargs):
+        record = run(*args, **kwargs)
+        settings.append((kwargs.get("trace", True), len(record.trace)))
+        return record
+
+    monkeypatch.setattr(grover, "run", recording)
+    return settings
+
+
+def test_scaling_and_repeat_all_record_no_trace(monkeypatch):
+    # They read the loop time, the peak live count and the final state,
+    # so their runs keep only the last trace entry.
+    settings = record_trace_settings(monkeypatch)
+    bench.run_scaling(ExperimentConfig(kind="scaling", k_min=6, k_max=10,
+                                       repetitions=2))
+    bench.run_repeat_all(ExperimentConfig(kind="repeat_until_all_found",
+                                          k_min=5, marked_count=3,
+                                          repetitions=4))
+    assert settings == [(False, 1)] * 11
+
+
+def test_trace_experiment_records_every_iteration(monkeypatch):
+    settings = record_trace_settings(monkeypatch)
+    record = bench.run_trace(ExperimentConfig(kind="trace", k_min=6))
+    assert settings == [(True, record.iterations + 1)]
+
+
 def test_scaling_fit_requires_five_distinct_sizes():
     with pytest.raises(ValueError):
         bench.run_scaling(ExperimentConfig(kind="scaling", k_min=10, k_max=12))
@@ -418,6 +450,28 @@ def test_cli_trace_takes_k_from_the_cnf_header(tmp_path, capsys, input_files):
 def test_config_rejects_contradictory_inputs(fields):
     with pytest.raises(ValueError, match="not both|conflicts"):
         ExperimentConfig(kind="trace", k_min=4, k_max=4, **fields)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(iterations=-3),
+    dict(iterations=-1),
+    dict(iteration_multiplier=-0.5),
+    dict(iteration_multiplier=math.nan),
+    dict(iteration_multiplier=math.inf),
+    dict(iteration_multiplier=-math.inf),
+])
+def test_config_rejects_a_negative_or_non_finite_iteration_setting(fields):
+    # Checked before any oracle is compiled: a NaN multiplier used to fail
+    # only when rounded, and a negative count was accepted.
+    with pytest.raises(ValueError, match="iteration"):
+        ExperimentConfig(kind="trace", k_min=4, k_max=4, **fields)
+
+
+def test_config_takes_zero_iterations_and_a_zero_multiplier():
+    for fields in (dict(iterations=0), dict(iteration_multiplier=0.0)):
+        record = bench.run_trace(ExperimentConfig(kind="trace", k_min=4,
+                                                  **fields))
+        assert record.iterations == 0 and len(record.trace) == 1
 
 
 # One value per settable field; each is valid beside every default.

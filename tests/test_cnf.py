@@ -1,5 +1,7 @@
 """CNF formulas: DIMACS round trips, evaluation, and instance generators."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +124,18 @@ def test_planted_3cnf_reproducible():
     a = cnf.planted_3cnf(num_vars=12, seed=99)
     b = cnf.planted_3cnf(num_vars=12, seed=99)
     assert a.formula == b.formula and a.hidden_bits == b.hidden_bits
+
+
+@pytest.mark.parametrize("ratio", [-1, -0.01, math.nan, math.inf, -math.inf])
+def test_planted_3cnf_rejects_a_bad_ratio(ratio):
+    # A negative ratio used to give a formula with no clause, which every
+    # assignment satisfies.
+    with pytest.raises(FormulaError, match="ratio"):
+        cnf.planted_3cnf(5, ratio=ratio, seed=1)
+
+
+def test_planted_3cnf_takes_a_zero_ratio():
+    assert cnf.planted_3cnf(5, ratio=0, seed=1).formula.clauses == ()
 
 
 @pytest.mark.parametrize("num_vars,seed", [(4, 0), (6, 1), (8, 2)])

@@ -70,6 +70,18 @@ def test_params_validation():
         GroverParams(k=2, shots=-1)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(k=True), dict(k=4.0), dict(k=2, iterations=2.5),
+    dict(k=2, iterations=False), dict(k=2, shots=1.5), dict(k=2, shots=True),
+    dict(k="3"),
+])
+def test_params_reject_a_count_that_is_not_an_int(fields):
+    # Caught when the parameters are made, not after the oracle's
+    # diagrams are built or the whole loop has run.
+    with pytest.raises(TypeError, match="must be an int"):
+        GroverParams(**fields)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -299,6 +311,45 @@ def test_peak_live_nodes_is_trace_maximum():
     _, _, rec = single_marked_run(9, 17)
     assert rec.peak_live_internal_nodes == max(
         s.live_internal_nodes for s in rec.trace)
+
+
+class StatsWatchManager(QuiddManager):
+    """Counts the calls of the trace's statistics beyond the walk."""
+
+    def __init__(self):
+        super().__init__()
+        self.inner_products = 0
+        self.entries_read = 0
+
+    def inner_product(self, *args, **kwargs):
+        self.inner_products += 1
+        return super().inner_product(*args, **kwargs)
+
+    def entry_at(self, *args, **kwargs):
+        self.entries_read += 1
+        return super().entry_at(*args, **kwargs)
+
+
+@pytest.mark.parametrize("k, marked", [(8, [100]), (5, []), (3, range(8)),
+                                       (10, [3, 700])])
+@pytest.mark.parametrize("iterations", [0, 1, 40])
+def test_run_without_the_trace_computes_only_the_final_statistics(
+        k, marked, iterations):
+    m = StatsWatchManager()
+    orc = oracle.compile_marked_set(m, k, marked)
+    rec = grover.run(m, orc, GroverParams(k=k, iterations=iterations),
+                     trace=False)
+    assert m.inner_products == 1
+    assert m.entries_read == (orc.marked_count > 0) + (
+        orc.marked_count < 1 << k) <= 2
+    assert type(rec.trace) is tuple and len(rec.trace) == 1
+    assert rec.trace[-1].t == rec.iterations == iterations
+    m2 = QuiddManager()
+    want = grover.run(m2, oracle.compile_marked_set(m2, k, marked),
+                      GroverParams(k=k, iterations=iterations))
+    assert rec.trace[-1] == want.trace[-1]
+    assert rec.peak_live_internal_nodes == want.peak_live_internal_nodes
+    assert m.dump(rec.final_state) == m2.dump(want.final_state)
 
 
 # ---------------------------------------------------------------------------
