@@ -23,6 +23,12 @@ k; a --k-max other than --k-min beside --marked, which gives one
 oracle); its reason follows a usage line.  CSV goes to --out (or stays
 in memory); summaries go to stderr.  Exit status is 0 on success and 1
 with a diagnostic line on any error.
+
+Every experiment runs through one table, ``_EXPERIMENTS``: a row per
+kind gives its help line, its ``bench`` runner and the one-line summary
+of the runner's result.  So a new experiment is one ``bench.READS``
+entry, its runner and one row here (and a ``_FLAGS`` entry for a new
+field).
 """
 
 from __future__ import annotations
@@ -57,13 +63,32 @@ _FLAGS = {
             "write the CSV table here (default: no file)"),
 }
 
-_SUMMARIES = {
-    "scaling": "time the Grover loop per k and fit c*k*b^k",
-    "oracle_stats": "compile oracles and report diagram sizes",
-    "crossover": "analytic query counts of every strategy per k",
-    "trace": "per-iteration profile of one run at k = --k-min",
-    "repeat_until_all_found": "repeat runs until every marked item was "
-                              "observed",
+# Each experiment's row: (help line, bench runner, the one-line stderr
+# summary of the runner's result).  bench.READS gives its flags.
+_EXPERIMENTS = {
+    "scaling": (
+        "time the Grover loop per k and fit c*k*b^k", bench.run_scaling,
+        lambda fit: f"scaling fit: time ~ {fit.constant_ns:.4g} ns * k * "
+                    f"{fit.growth_base:.4f}^k over {len(fit.samples)} "
+                    f"sizes; peak-node/k correlation "
+                    f"{fit.peak_node_correlation:.4f}"),
+    "oracle_stats": (
+        "compile oracles and report diagram sizes", bench.run_oracle_stats,
+        lambda rows: f"oracle_stats: {len(rows)} oracles compiled"),
+    "crossover": (
+        "analytic query counts of every strategy per k", bench.run_crossover,
+        lambda rows: f"crossover: {len(rows)} rows"),
+    "trace": (
+        "per-iteration profile of one run at k = --k-min", bench.run_trace,
+        lambda rec: f"trace: k={rec.k} M={rec.marked_count} "
+                    f"iterations={rec.iterations} final success "
+                    f"{rec.trace[-1].success_prob:.6f}"),
+    "repeat_until_all_found": (
+        "repeat runs until every marked item was observed",
+        bench.run_repeat_all,
+        lambda res: f"repeat_until_all_found: mean repetitions "
+                    f"{res.mean_repetitions:.4f} (coupon-collector "
+                    f"expectation {res.coupon_collector_expectation:.4f})"),
 }
 
 
@@ -73,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark experiments for the compressed Grover simulator.")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for kind, reads in bench.READS.items():
-        p = sub.add_parser(kind, help=_SUMMARIES[kind])
+        p = sub.add_parser(kind, help=_EXPERIMENTS[kind][0])
         # Every flag parses to None when left out, so ExperimentConfig
         # fills the default and can tell a given flag from one left out.
         for field, default in reads.items():
@@ -99,30 +124,8 @@ def main(argv=None) -> int:
         # exit status into the documented 0-or-1 contract.
         return 0 if not exc.code else 1
     try:
-        if cfg.kind == "scaling":
-            fit = bench.run_scaling(cfg)
-            print(f"scaling fit: time ~ {fit.constant_ns:.4g} ns * k * "
-                  f"{fit.growth_base:.4f}^k over {len(fit.samples)} sizes; "
-                  f"peak-node/k correlation {fit.peak_node_correlation:.4f}",
-                  file=sys.stderr)
-        elif cfg.kind == "oracle_stats":
-            rows = bench.run_oracle_stats(cfg)
-            print(f"oracle_stats: {len(rows)} oracles compiled", file=sys.stderr)
-        elif cfg.kind == "crossover":
-            rows = bench.run_crossover(cfg)
-            print(f"crossover: {len(rows)} rows", file=sys.stderr)
-        elif cfg.kind == "trace":
-            record = bench.run_trace(cfg)
-            print(f"trace: k={record.k} M={record.marked_count} "
-                  f"iterations={record.iterations} "
-                  f"final success {record.trace[-1].success_prob:.6f}",
-                  file=sys.stderr)
-        else:
-            result = bench.run_repeat_all(cfg)
-            print(f"repeat_until_all_found: mean repetitions {result.mean_repetitions:.4f} "
-                  f"(coupon-collector expectation "
-                  f"{result.coupon_collector_expectation:.4f})",
-                  file=sys.stderr)
+        _, run, summary = _EXPERIMENTS[cfg.kind]
+        print(summary(run(cfg)), file=sys.stderr)
     except Exception as exc:      # surface everything as a diagnostic line
         print(f"bench: error: {exc}", file=sys.stderr)
         return 1

@@ -78,9 +78,9 @@ def optimal_iterations(n_items: int, marked_count: int) -> int:
 class GroverParams:
     """Run parameters.  ``iterations`` of None means the ideal count for
     the oracle's marked count; a run sized for another count M passes
-    ``iterations=optimal_iterations(2**k, M)``.  ``k``, ``iterations``
-    and ``shots`` must be ints (not bools), or :class:`TypeError` is
-    raised when the parameters are made."""
+    ``iterations=optimal_iterations(2**k, M)``.  ``k``, ``iterations``,
+    ``seed`` and ``shots`` must be ints (not bools), or
+    :class:`TypeError` is raised when the parameters are made."""
 
     k: int
     iterations: int | None = None
@@ -88,7 +88,7 @@ class GroverParams:
     shots: int = 1
 
     def __post_init__(self):
-        for name in ("k", "iterations", "shots"):
+        for name in ("k", "iterations", "seed", "shots"):
             value = getattr(self, name)
             if value is None and name == "iterations":
                 continue
@@ -210,11 +210,11 @@ class GroverRun:
     wall_ns: int = field(compare=False)
 
     def comparable(self) -> dict:
-        """All fields that must be bit-identical across reruns: every
-        field but the final state's ref and the wall-clock times, with
-        the trace as a tuple of its entries."""
+        """All fields that must be bit-identical across reruns: those
+        equality compares (every field but the final state's ref and the
+        wall-clock times), with the trace as a tuple of its entries."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("final_state", "loop_ns", "wall_ns")}
+               if f.compare}
         out["trace"] = tuple(self.trace)
         return out
 

@@ -402,8 +402,8 @@ class QuiddManager:
         two non-zero products.  Each call of the walk also returns the
         sum of its input block, so a constant gate block takes its offset
         from the call of the internal block on its column; where no such
-        call is made, the constant block walks its input itself, as its
-        own cofactor, for the sum alone.  A constant input under a block
+        call is made, the constant block is split like any other, as each
+        of its own four quadrants.  A constant input under a block
         whose rows share one sum (:meth:`_rowsum_rec`) adds to the offset.
 
         The matvec, add and multiply tables are emptied when the call
@@ -479,17 +479,6 @@ class QuiddManager:
         m1 = m + 1
         zero = _ZERO
         rec = self._matvec_rec
-        if gv is not None:
-            # Constant block, its own cofactor: every row sums the same
-            # entries, so the whole result is uniform and lives entirely
-            # in the offset.  The walk only sums the input.
-            s = rec(m1, g, w0, p0, k)[2]
-            if w0 != w1 or p0 != p1:
-                s1 = rec(m1, g, w1, p1, k)[2]
-                s = (0j if s is None else s) + (0j if s1 is None else s1)
-            else:
-                s = 2 * s
-            return self._remember(self._mv_memo, key, (zero, gv * s, s))
         if var[g] == rv:
             g0, g1 = low[g], high[g]
         else:
@@ -677,7 +666,8 @@ class QuiddManager:
         # (sum where the mask is 1, sum over all entries); mask None is all
         # ones.  The mask is read before the operands, so a bad mask
         # terminal raises even under a zero operand; where it turns 1 it
-        # is dropped and the walk shares the unmasked (m, u, v) entries.
+        # is dropped and the walk shares the unmasked entries, keyed
+        # (m, None, u, v) like every other.
         # Below an internal mask over two terminals the full sum adds two
         # equal halves x * 2^j, which is exactly x * 2^(j + 1).
         value = self._value
@@ -692,13 +682,10 @@ class QuiddManager:
         uv, vv = value[u], value[v]
         if uv == 0 or vv == 0:
             return 0j, 0j
-        if mask is None:
-            if uv is not None and vv is not None:
-                s = uv.conjugate() * vv * (1 << (k - m))
-                return s, s
-            key = (m, u, v)
-        else:
-            key = (m, mask, u, v)
+        if mask is None and uv is not None and vv is not None:
+            s = uv.conjugate() * vv * (1 << (k - m))
+            return s, s
+        key = (m, mask, u, v)
         hit = self._ip_memo.get(key)
         if hit is not None:
             return hit
@@ -865,8 +852,6 @@ class QuiddManager:
             raise QuiddError(f"collect floor must be >= 0, got {floor}")
         var, low, high, value = self._var, self._low, self._high, self._value
         size = len(var)
-        if floor >= size:
-            return roots
         row_sums = {key: s for key, s in self._rs_memo.items()
                     if key[1] < floor}
         spans = {r: s for r, s in self._span_memo.items() if r < floor}

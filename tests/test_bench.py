@@ -343,6 +343,10 @@ def test_cli_help_for_every_subcommand(capsys):
         assert ("--seed" in out) == (sub != "crossover")
 
 
+def test_cli_table_has_a_row_for_every_experiment():
+    assert list(cli._EXPERIMENTS) == list(bench.READS)
+
+
 # The flags each run_* function reads, and nothing else.
 CLI_FLAGS = {
     "scaling": ["--k-min", "--k-max", "--m", "--reps", "--seed", "--out"],

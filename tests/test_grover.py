@@ -82,6 +82,14 @@ def test_params_reject_a_count_that_is_not_an_int(fields):
         GroverParams(**fields)
 
 
+@pytest.mark.parametrize("seed", [[1], 1.5, "1", True, None])
+def test_params_reject_a_seed_that_is_not_an_int(seed):
+    # random.Random would take some of these and reject others, but only
+    # when the run samples, after the whole loop.
+    with pytest.raises(TypeError, match="seed must be an int"):
+        GroverParams(k=10, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -305,6 +313,10 @@ def test_identical_runs_compare_and_hash_equal():
     assert hash(a) == hash(b)
     assert a == dataclasses.replace(a, final_state=-1, loop_ns=0, wall_ns=0)
     assert a != dataclasses.replace(a, queries=a.queries + 1)
+    # comparable() holds exactly the fields equality reads.
+    assert list(a.comparable()) == [
+        "params", "k", "marked_count", "iterations", "queries",
+        "no_solution", "trace", "measurements", "peak_live_internal_nodes"]
 
 
 def test_peak_live_nodes_is_trace_maximum():

@@ -637,6 +637,51 @@ def test_matvec_constant_block_arrangements_match_dense(quadrants, sums,
     assert np.max(np.abs(dense - gate @ (phase * vec))) < 1e-12
 
 
+class DeepConstantWatchManager(QuiddManager):
+    """Counts the walk calls below the top level's quadrants (level 2 and
+    deeper) of a non-zero constant gate block over an internal input."""
+
+    def __init__(self):
+        super().__init__()
+        self.deep_constant_calls = 0
+
+    def _matvec_rec(self, m, g, w, p, k):
+        self.deep_constant_calls += (m >= 2 and self._value[g] not in (None, 0)
+                                     and self._value[w] is None)
+        return super()._matvec_rec(m, g, w, p, k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("phased", [False, True], ids=["plain", "phased"])
+def test_matvec_constant_blocks_below_the_top_level_match_dense(k, phased):
+    # Each top-level quadrant is internal, and its own quadrants hold the
+    # arrangements of the top-level test one level down: two constants
+    # on one column, zero beside constant, constant above and below an
+    # internal block.
+    n = 1 << k
+    h, q = n // 2, n // 4
+    rng = np.random.default_rng(29 + k)
+    gate = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gate[:q, :q], gate[q:h, :q] = 0.5, -0.25
+    gate[:q, h:h + q], gate[:q, h + q:] = 0, 0.3j
+    gate[q:h, h:h + q], gate[q:h, h + q:] = 0.75, 0
+    gate[h:h + q, :q] = 1.5
+    gate[h + q:, h + q:] = -0.5
+    vec = rng.normal(size=n) + 0.5j
+    vec[0] = 0          # a zero leaf under the constant column's input
+    phase = (rng.choice([1, -1], size=n) if phased else np.ones(n)).astype(
+        complex)
+    space = vector_space(k)
+    m = DeepConstantWatchManager()
+    rg = from_dense(m, gate, matrix_space(k))
+    rv = from_dense(m, vec, space)
+    got = m.matvec(rg, rv, k, from_dense(m, phase, space) if phased else None)
+    assert m.deep_constant_calls > 0
+    dense = to_dense(m, got, space)
+    assert from_dense(m, dense, space) == got
+    assert np.max(np.abs(dense - gate @ (phase * vec))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # entries, counting, round trips
 
@@ -887,8 +932,8 @@ def test_every_computed_table_respects_cache_limit(monkeypatch):
     # matvec empties the matvec, add and multiply tables when it starts,
     # so the last product must fill the first two (apply refills the
     # multiply table after it).  a's right column is two constant
-    # quadrants, so the walk that sums a constant block's input enters
-    # matvec entries too.
+    # quadrants; the walk splits each like any other block, as its own
+    # four quadrants, so their calls enter matvec entries too.
     dense_a = rng.normal(size=(8, 8)).astype(complex)
     dense_a[:4, 4:] = 0.5
     dense_a[4:, 4:] = -0.25
@@ -995,6 +1040,25 @@ def test_collect_rejects_a_negative_floor():
         m.collect(-1, (n,))
     assert m.size == size
     assert m.collect(0, (n,)) == (n,)
+
+
+def test_collect_at_or_above_the_store_size_changes_nothing():
+    m = QuiddManager()
+    rng = np.random.default_rng(14)
+    g = from_dense(m, np.kron([[0.5, -1], [-1, 0.5]], rng.normal(size=(4, 4)))
+                   .astype(complex), matrix_space(3))
+    v = from_dense(m, np.repeat(rng.normal(size=4), 2).astype(complex),
+                   vector_space(3))
+    roots = (g, v, m.matvec(g, v, 3))
+    row_sums, spans = dict(m._rs_memo), dict(m._span_memo)
+    assert row_sums and spans
+    size, created = m.size, m.nodes_created
+    store = m.dump(*range(size))
+    for floor in (size, size + 3):
+        assert m.collect(floor, roots) == roots
+        assert (m.size, m.nodes_created) == (size, created)
+        assert m.dump(*range(size)) == store
+        assert m._rs_memo == row_sums and m._span_memo == spans
 
 
 def dense_row_sum(block):
