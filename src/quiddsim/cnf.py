@@ -57,7 +57,11 @@ def is_3cnf(formula: CnfFormula) -> bool:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text ('p cnf <vars> <clauses>', 0-terminated clauses)."""
+    """Parse DIMACS CNF text ('p cnf <vars> <clauses>', 0-terminated clauses).
+
+    Every malformed text raises :class:`DimacsError`, the faults of the
+    formula itself (:class:`CnfFormula`) included.
+    """
     num_vars = None
     declared_clauses = None
     tokens: list[int] = []
@@ -90,21 +94,21 @@ def parse_dimacs(text: str) -> CnfFormula:
     cur: list[int] = []
     for lit in tokens:
         if lit == 0:
-            if not cur:
-                raise DimacsError("empty clause")
             clauses.append(tuple(cur))
             cur = []
         else:
-            if abs(lit) > num_vars:
-                raise DimacsError(
-                    f"literal {lit} exceeds declared variable count {num_vars}")
             cur.append(lit)
     if cur:
         raise DimacsError("unterminated clause at end of input")
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    # CnfFormula checks the variable count, empty clauses and literal range.
+    try:
+        formula = CnfFormula(num_vars, tuple(clauses))
+    except FormulaError as e:
+        raise DimacsError(str(e)) from None
+    if declared_clauses != len(clauses):
         raise DimacsError(
             f"problem line declares {declared_clauses} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars, tuple(clauses))
+    return formula
 
 
 def to_dimacs(formula: CnfFormula) -> str:

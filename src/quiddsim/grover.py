@@ -65,13 +65,8 @@ def optimal_iterations(n_items: int, marked_count: int) -> int:
         return 0
     theta = math.asin(math.sqrt(marked_count / n_items))
     base = math.floor(math.pi / (4.0 * theta))
-    best = None
-    best_p = -1.0
-    for r in sorted({max(base - 1, 0), base, base + 1}):
-        p = math.sin((2 * r + 1) * theta) ** 2
-        if p > best_p:
-            best, best_p = r, p
-    return best
+    return max(sorted({max(base - 1, 0), base, base + 1}),
+               key=lambda r: ideal_success_probability(r, n_items, marked_count))
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,11 @@ interned first, as ref 0 (``_ZERO``), so it lies below every floor.
 :meth:`QuiddManager.collect` frees the nodes above a floor that given
 roots do not reach and renumbers the survivors; refs below the floor are
 untouched and stay valid, refs above it are valid only as the renumbered
-roots it returns.  A terminal leaves the store only after it has left
-the terminal table: :meth:`QuiddManager.sweep` drops from the table
+roots it returns.  It walks the roots with the manager's one graph walk
+(:meth:`QuiddManager.reachable`) and keeps what the walk meets at or
+above the floor, since a node below the floor reaches nothing above
+it.  A terminal leaves the store only after it has left the terminal
+table: :meth:`QuiddManager.sweep` drops from the table
 every terminal above the floor that the caller's current terminals do
 not include (a cell met again gets a new representative), and the next
 collection frees them.  The table is in ref order, so a sweep reads
@@ -77,7 +80,6 @@ Refs from different managers must never be mixed.
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 
 # Sorts after every real decision variable, so terminals never win a
@@ -214,15 +216,16 @@ class QuiddManager:
         return len(self._var)
 
     def terminal(self, value) -> int:
-        """Intern an amplitude sink, quantized to the grid for equality."""
-        z = complex(value)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise InvalidAmplitudeError(f"non-finite amplitude: {value!r}")
-        return self._term(z)
+        """Intern an amplitude sink, quantized to the grid for equality.
+
+        A NaN or infinite component, or one too large for its grid cell
+        key, raises :class:`InvalidAmplitudeError` (from :meth:`_term`).
+        """
+        return self._term(complex(value))
 
     def _term(self, z: complex) -> int:
-        # Hot-path interner: callers guarantee z is already a complex built
-        # from finite inputs, so only overflow needs catching here.
+        # The one interner: z is a complex.  A NaN component fails the grid
+        # key with ValueError, an infinite or huge one with OverflowError.
         try:
             key = _grid_key(z)
         except (OverflowError, ValueError):
@@ -748,20 +751,18 @@ class QuiddManager:
                        + sums[hi] * (1 << (qhi - q - 1)))
         return sums
 
-    def reachable(self, *roots: int, exclude=frozenset()) -> set:
-        """Every node reachable from ``roots`` and not in ``exclude``,
-        terminals included.
+    def reachable(self, *roots: int) -> set:
+        """Every node reachable from ``roots``, terminals included.
 
-        The walk stops at the nodes of ``exclude``, so ``exclude`` must
-        hold every child of each of its nodes, as a ``reachable`` set or
-        ``range(floor)`` does.
+        The manager's one graph walk.  It keeps an explicit stack, so no
+        diagram is too deep for it.
         """
         value, low, high = self._value, self._low, self._high
         seen = set()
         stack = list(roots)
         while stack:
             n = stack.pop()
-            if n not in seen and n not in exclude:
+            if n not in seen:
                 seen.add(n)
                 if value[n] is None:
                     stack.append(low[n])
@@ -780,21 +781,14 @@ class QuiddManager:
         """The internal-node count and the terminals of ``root`` beyond
         the nodes of ``exclude``, and its span, from one walk.
 
-        The walk goes through the nodes of ``exclude`` (a set) without
-        counting or listing them, so the span (:meth:`_span`) is read off
-        the same walk.  It is entered into the span table, so the space
-        checks of later calls on ``root`` walk nothing.
+        The walk (:meth:`reachable`) goes through the nodes of
+        ``exclude`` (a set) without counting or listing them, so the span
+        (:meth:`_span`) is read off the same walk.  It is entered into
+        the span table, so the space checks of later calls on ``root``
+        walk nothing.
         """
-        value, var, low, high = self._value, self._var, self._low, self._high
-        seen = set()
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                if value[n] is None:
-                    stack.append(low[n])
-                    stack.append(high[n])
+        value, var = self._value, self._var
+        seen = self.reachable(root)
         used = [var[n] for n in seen if value[n] is None]
         span = self._remember(self._span_memo, root, (
             max(used, default=-1), any(v & 1 for v in used)))
@@ -845,8 +839,9 @@ class QuiddManager:
         above ``floor`` is invalid afterwards.  The row-sum and span
         entries keyed below ``floor`` are kept unchanged, and every other
         computed-table entry is dropped, since it may name a freed ref.
-        The work is linear in the size of the region.  A negative
-        ``floor`` raises :class:`QuiddError`.
+        The work is linear in the size of the region plus the nodes below
+        ``floor`` that the roots reach; a Grover run's roots reach none.
+        A negative ``floor`` raises :class:`QuiddError`.
         """
         if floor < 0:
             raise QuiddError(f"collect floor must be >= 0, got {floor}")
@@ -855,9 +850,9 @@ class QuiddManager:
         row_sums = {key: s for key, s in self._rs_memo.items()
                     if key[1] < floor}
         spans = {r: s for r, s in self._span_memo.items() if r < floor}
-        # Children precede parents, so the nodes below the floor are
-        # closed under children and the walk can stop there.
-        live = self.reachable(*roots, exclude=range(floor))
+        # Children precede parents, so the nodes a root reaches below the
+        # floor reach nothing above it and can be dropped after the walk.
+        live = {n for n in self.reachable(*roots) if n >= floor}
         terminals = self._terminals
         live.update(r for r in terminals.values() if r >= floor)
         unique = self._unique

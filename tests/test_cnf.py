@@ -54,6 +54,27 @@ def test_parse_rejects_clause_count_mismatch():
         cnf.parse_dimacs("p cnf 2 2\n1 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("p cnf 0 0\n", "need at least one variable, got 0",
+                 id="no-variables"),
+    pytest.param("p cnf -2 0\n", "need at least one variable, got -2",
+                 id="negative-variables"),
+    pytest.param("p cnf 0 1\n1 0\n", "need at least one variable, got 0",
+                 id="variable-count-before-range"),
+    pytest.param("p cnf 2 1\n0\n", "empty clause", id="empty-clause"),
+    pytest.param("p cnf 2 5\n-4 0\n",
+                 "literal -4 exceeds declared variable count 2",
+                 id="range-before-clause-count"),
+    pytest.param("p cnf 2 1\n1 3 0\n1\n",
+                 "unterminated clause at end of input",
+                 id="unterminated-before-range"),
+])
+def test_parse_reports_every_formula_fault_as_a_dimacs_error(text, message):
+    with pytest.raises(DimacsError) as info:
+        cnf.parse_dimacs(text)
+    assert str(info.value) == message
+
+
 def test_dimacs_round_trip():
     f = CnfFormula(num_vars=4, clauses=((1, -3, 4), (-2,), (2, 3)))
     assert cnf.parse_dimacs(cnf.to_dimacs(f)) == f

@@ -85,6 +85,14 @@ def test_terminal_rejects_non_finite(manager):
             manager.terminal(bad)
 
 
+def test_terminal_rejects_amplitudes_beyond_the_grid_keys(manager):
+    # Finite, but too large for a grid cell key: the interner's overflow
+    # path is the one check terminal() runs.
+    for bad in (1e300, complex(0, 1e300)):
+        with pytest.raises(InvalidAmplitudeError):
+            manager.terminal(bad)
+
+
 def test_zero_cell_is_canonical_zero(manager):
     # Anything that lands in the zero cell must store an exact 0j so the
     # annihilator shortcuts stay reference-exact.
@@ -986,6 +994,51 @@ def test_collect_keeps_roots_and_refs_below_floor():
         # Canonicity: rebuilding the contents finds the renumbered node.
         assert from_dense(m, want, vector_space(k)) == r
         assert_well_formed(m, r)
+
+
+def test_reachable_of_several_roots_is_the_union_of_their_walks():
+    m = QuiddManager()
+    rng = np.random.default_rng(16)
+    k = 4
+    vs = [_random_vector(m, rng, k) for _ in range(3)]
+    vs += [m.apply("add", vs[0], vs[1]), m.apply("mul", vs[1], vs[2])]
+    for a in vs:
+        for b in vs:
+            assert m.reachable(a, b) == m.reachable(a) | m.reachable(b)
+    shared = m.reachable(vs[0]) & m.reachable(vs[3])
+    assert any(not m.is_terminal(n) for n in shared)
+    assert m.reachable(*vs) == set().union(*map(m.reachable, vs))
+    assert m.reachable() == set()
+
+
+def test_collect_keeps_what_a_root_reaches_across_the_floor():
+    # A root above the floor whose walk runs into nodes below it: those
+    # stay as they are, and exactly the nodes at or above the floor that
+    # the roots or the terminal table reach survive, in order.
+    m = QuiddManager()
+    below = m.node(4, m.terminal(1), m.terminal(2))
+    floor = m.size
+    store = m.dump(*range(floor))
+    half, seven, nine = m.terminal(0.5), m.terminal(7), m.terminal(9)
+    m.node(4, seven, half)                  # dead
+    m.node(2, below, nine)                  # dead
+    above = m.node(2, half, below)
+    root = m.node(0, below, above)
+    m.sweep(floor, (half, seven))           # drops nine; seven stays unreached
+    survivors = [half, seven, above, root]
+    before = [(m.var(n), m.low(n), m.high(n), m._value[n]) for n in survivors]
+
+    moved = m.collect(floor, (root, below))
+
+    renumbered = dict(zip(survivors, range(floor, floor + len(survivors))))
+    assert moved == (renumbered[root], below)
+    assert m.size == floor + len(survivors)
+    assert m.dump(*range(floor)) == store
+    for n, (var, low, high, value) in zip(range(floor, m.size), before):
+        assert (m.var(n), m.low(n), m.high(n), m._value[n]) == (
+            var, renumbered.get(low, low), renumbered.get(high, high), value)
+    assert m.terminal(7) == renumbered[seven]
+    assert m.terminal(9) == m.size - 1     # swept and freed: made anew
 
 
 def test_frequently_collected_run_leaves_a_well_formed_state(monkeypatch):
