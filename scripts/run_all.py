@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run every benchmark experiment and collect the CSVs in one directory.
 
-Each experiment goes through the public ``bench`` command line, so this
+The experiments are the rows of ``bench.EXPERIMENTS``, run in table
+order.  Each goes through the public ``bench`` command line, so this
 doubles as an end-to-end exercise of the installed entry point.  The
-full run takes the command line's defaults (``bench.READS``), which
-reproduce the headline numbers; ``--quick`` shrinks them to a smoke test
-that finishes in a few seconds.
+full run takes each row's defaults, which reproduce the headline
+numbers; ``--quick`` shrinks them to a smoke test that finishes in a
+few seconds.  ``--seed`` goes to every experiment that reads a seed.
 """
 
 import argparse
@@ -13,26 +14,18 @@ import sys
 import time
 from pathlib import Path
 
-from quiddsim import cli
+from quiddsim import bench, cli
 
-
-def experiment_args(quick: bool, seed: int):
-    """(experiment, flags) pairs.  A full run takes each experiment's
-    default sizes and counts, and ``quick`` lowers them.  The trace runs
-    three times the ideal iteration count, to show the periodic success
-    curve; crossover is analytic and takes no seed."""
-    seeded = ["--seed", str(seed)]
-
-    def sizes(*flags):
-        return list(flags) if quick else []
-
-    return [
-        ("scaling", [*sizes("--k-max", "14", "--reps", "1"), *seeded]),
-        ("oracle_stats", [*sizes("--k-max", "12"), *seeded]),
-        ("crossover", sizes("--k-max", "14")),
-        ("trace", ["--iter-mult", "3", *seeded]),
-        ("repeat_until_all_found", [*sizes("--reps", "200"), *seeded]),
-    ]
+# Flags added to an experiment's defaults.  The trace always runs three
+# times the ideal iteration count, to show the periodic success curve;
+# --quick lowers the sizes and counts of the others.
+ALWAYS = {"trace": ["--iter-mult", "3"]}
+QUICK = {
+    "scaling": ["--k-max", "14", "--reps", "1"],
+    "oracle_stats": ["--k-max", "12"],
+    "crossover": ["--k-max", "14"],
+    "repeat_until_all_found": ["--reps", "200"],
+}
 
 
 def main(argv=None) -> int:
@@ -46,9 +39,12 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, extra in experiment_args(args.quick, args.seed):
+    for name, row in bench.EXPERIMENTS.items():
+        quick = QUICK.get(name, []) if args.quick else []
+        seeded = ["--seed", str(args.seed)] if "seed" in row.reads else []
         out = out_dir / f"{name}.csv"
-        argv_exp = [name, *extra, "--out", str(out)]
+        argv_exp = [name, *quick, *ALWAYS.get(name, []), *seeded,
+                    "--out", str(out)]
         print(f"== bench {' '.join(argv_exp)}", flush=True)
         start = time.perf_counter()
         rc = cli.main(argv_exp)

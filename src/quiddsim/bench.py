@@ -8,6 +8,13 @@ been observed; one simulation per call, whose final state every
 repetition samples with its own seed).  All CSV content is reproducible
 from the seed except the wall-clock columns (``wall_ns``,
 ``compile_ns``).  Floats are serialized with 12 significant digits.
+
+Each experiment is declared once, as a row of ``EXPERIMENTS``: the
+``ExperimentConfig`` fields it reads with their defaults, its runner,
+its help line and the one-line summary of the runner's result.  The
+config, the ``bench`` command line (:mod:`quiddsim.cli`) and
+``scripts/run_all.py`` all read that table, so a new experiment is one
+row and its runner.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 import random
 import statistics
 import time
+from collections import namedtuple
 from dataclasses import astuple, dataclass
 
 from . import grover
@@ -23,22 +31,6 @@ from .baselines import coupon_collector_mean, crossover_table
 from .cnf import parse_dimacs, parse_marked_file
 from .oracle import Oracle, compile_cnf, compile_marked_set
 from .quidd import QuiddManager
-
-# The ExperimentConfig fields each experiment reads, in the order of
-# its command-line flags, with their defaults.
-READS = {
-    "scaling": {"k_min": 10, "k_max": 20, "marked_count": 1,
-                "repetitions": 3, "seed": 0, "out": None},
-    "oracle_stats": {"k_min": 4, "k_max": 24, "marked_count": 1,
-                     "marked_path": None, "cnf_path": None, "seed": 0,
-                     "out": None},
-    "crossover": {"k_min": 10, "k_max": 20, "marked_count": 1, "out": None},
-    "trace": {"k_min": 6, "marked_count": 1, "marked_path": None,
-              "cnf_path": None, "iterations": None,
-              "iteration_multiplier": None, "seed": 0, "out": None},
-    "repeat_until_all_found": {"k_min": 6, "marked_count": 4,
-                               "repetitions": 1000, "seed": 0, "out": None},
-}
 
 SCALING_HEADER = "k,iterations,wall_ns,peak_internal_nodes,seed"
 ORACLE_STATS_HEADER = "k,M,internal_nodes,terminal_nodes,compile_ns"
@@ -56,14 +48,18 @@ class ExperimentConfig:
 
     A field the kind does not read is an error, except a ``k_max`` equal
     to ``k_min``.  A field it reads that is left unset takes its default
-    from ``READS``, and a kind without ``k_max`` runs at the one size
-    ``k_min``.  A marked-set file (``marked_path``) and a CNF file
-    (``cnf_path``) each give one oracle and its marked set, so at most
-    one of them may be given; beside either, ``marked_count`` stays
-    unset and ``k_max`` equals ``k_min``.  A CNF header gives k, so
-    beside a CNF file ``k_min`` and ``k_max`` stay unset.
+    from the kind's ``EXPERIMENTS`` row, and a kind without ``k_max``
+    runs at the one size ``k_min``.  A marked-set file (``marked_path``)
+    and a CNF file (``cnf_path``) each give one oracle and its marked
+    set, so at most one of them may be given; beside either,
+    ``marked_count`` stays unset and ``k_max`` equals ``k_min``.  A CNF
+    header gives k, so beside a CNF file ``k_min`` and ``k_max`` stay
+    unset.
     ``iterations`` and ``iteration_multiplier`` exclude each other;
     neither may be negative, and the multiplier must be finite.
+    ``k_min``, ``k_max``, ``marked_count``, ``repetitions``, ``seed`` and
+    ``iterations`` must be ints (not bools), or :class:`TypeError` is
+    raised when the config is made.
     """
 
     kind: str
@@ -79,14 +75,20 @@ class ExperimentConfig:
     iteration_multiplier: float | None = None
 
     def __post_init__(self):
-        if self.kind not in READS:
+        if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        for name in ("k_min", "k_max", "marked_count", "repetitions", "seed",
+                     "iterations"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int)
+                                      or isinstance(value, bool)):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.marked_path is not None and self.cnf_path is not None:
             raise ValueError("give a marked-set file or a CNF file, not both")
         if self.iterations is not None and self.iteration_multiplier is not None:
             raise ValueError("give an iteration count or a multiplier, "
                              "not both")
-        reads = READS[self.kind]
+        reads = EXPERIMENTS[self.kind].reads
         fixed = {}      # field an input file sets -> why it may not be given
         if "cnf_path" in reads and (self.marked_path is not None
                                     or self.cnf_path is not None):
@@ -130,12 +132,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str | None, header: str, rows) -> list[str]:
-    lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
+def _write_csv(path: str | None, header: str, rows) -> None:
     if path is not None:
+        lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    return lines
 
 
 def _derive(*parts: int) -> int:
@@ -345,14 +346,12 @@ def run_repeat_all(cfg: ExperimentConfig) -> RepeatAllResult:
     k, count = cfg.k_min, cfg.marked_count
     if count < 1:
         raise ValueError("repeat_until_all_found needs at least one marked item")
-    marked = _marked_for(cfg.seed, k, count)
-    target = set(marked)
     m = QuiddManager()
-    oracle = compile_marked_set(m, k, marked)
+    oracle = _oracle_from_config(m, cfg, k)
+    target = oracle.provenance.marked
     record = grover.run(m, oracle, grover.GroverParams(k=k, shots=0),
                         trace=False)
     draw = grover.sampler(m, record.final_state, k)
-    rows = []
     counts = []
     for exp in range(cfg.repetitions):
         seen: set[int] = set()
@@ -363,8 +362,51 @@ def run_repeat_all(cfg: ExperimentConfig) -> RepeatAllResult:
             if outcome in target:
                 seen.add(outcome)
         counts.append(reps)
-        rows.append((exp, reps))
-    _write_csv(cfg.out, REPEAT_ALL_HEADER, rows)
+    _write_csv(cfg.out, REPEAT_ALL_HEADER, enumerate(counts))
     return RepeatAllResult(tuple(counts),
                            sum(counts) / len(counts),
                            coupon_collector_mean(count))
+
+
+# ----------------------------------------------------------------------
+# the experiment table
+
+# One experiment: the ExperimentConfig fields it reads, in the order of
+# its command-line flags, with their defaults; its runner; its help
+# line; and the one-line stderr summary of the runner's result.
+Experiment = namedtuple("Experiment", "reads run help summary")
+
+EXPERIMENTS = {
+    "scaling": Experiment(
+        {"k_min": 10, "k_max": 20, "marked_count": 1, "repetitions": 3,
+         "seed": 0, "out": None},
+        run_scaling, "time the Grover loop per k and fit c*k*b^k",
+        lambda fit: f"scaling fit: time ~ {fit.constant_ns:.4g} ns * k * "
+                    f"{fit.growth_base:.4f}^k over {len(fit.samples)} "
+                    f"sizes; peak-node/k correlation "
+                    f"{fit.peak_node_correlation:.4f}"),
+    "oracle_stats": Experiment(
+        {"k_min": 4, "k_max": 24, "marked_count": 1, "marked_path": None,
+         "cnf_path": None, "seed": 0, "out": None},
+        run_oracle_stats, "compile oracles and report diagram sizes",
+        lambda rows: f"oracle_stats: {len(rows)} oracles compiled"),
+    "crossover": Experiment(
+        {"k_min": 10, "k_max": 20, "marked_count": 1, "out": None},
+        run_crossover, "analytic query counts of every strategy per k",
+        lambda rows: f"crossover: {len(rows)} rows"),
+    "trace": Experiment(
+        {"k_min": 6, "marked_count": 1, "marked_path": None,
+         "cnf_path": None, "iterations": None,
+         "iteration_multiplier": None, "seed": 0, "out": None},
+        run_trace, "per-iteration profile of one run at k = --k-min",
+        lambda rec: f"trace: k={rec.k} M={rec.marked_count} "
+                    f"iterations={rec.iterations} final success "
+                    f"{rec.trace[-1].success_prob:.6f}"),
+    "repeat_until_all_found": Experiment(
+        {"k_min": 6, "marked_count": 4, "repetitions": 1000, "seed": 0,
+         "out": None},
+        run_repeat_all, "repeat runs until every marked item was observed",
+        lambda res: f"repeat_until_all_found: mean repetitions "
+                    f"{res.mean_repetitions:.4f} (coupon-collector "
+                    f"expectation {res.coupon_collector_expectation:.4f})"),
+}

@@ -59,20 +59,25 @@ def is_3cnf(formula: CnfFormula) -> bool:
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text ('p cnf <vars> <clauses>', 0-terminated clauses).
 
-    Every malformed text raises :class:`DimacsError`, the faults of the
-    formula itself (:class:`CnfFormula`) included.
+    The SATLIB layout is read as well: a line whose first token is ``%``
+    ends the input (the ``0`` that follows it is not read), and on a
+    clause line a token that begins with ``c`` starts a comment that
+    runs to the end of the line.  Every malformed text raises
+    :class:`DimacsError`, the faults of the formula itself
+    (:class:`CnfFormula`) included.
     """
     num_vars = None
     declared_clauses = None
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        if line.startswith("p"):
+        if parts[0] == "%":
+            break
+        if parts[0].startswith("p"):
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
-            parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
             try:
@@ -83,7 +88,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause before problem line")
-        for tok in line.split():
+        for tok in parts:
+            if tok.startswith("c"):
+                break
             try:
                 tokens.append(int(tok))
             except ValueError:

@@ -371,13 +371,11 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams, *,
     live = peak = fixed_internal + internal
     if trace:
         entries._append(*_stats(m, state, *stats), live)
-    queries = 0
     loop_start = time.perf_counter_ns()
     for _ in range(iterations):
         # One iteration: the diffusion times the oracle's phase product,
         # in one matvec that never builds the product.
         state = m.matvec(diffusion_ref, state, k, oracle.phase_vector)
-        queries += 1
         internal, current, _ = m.survey(state, fixed)
         live = fixed_internal + internal
         if live > peak:
@@ -404,7 +402,7 @@ def run(m: QuiddManager, oracle: Oracle, params: GroverParams, *,
         k=k,
         marked_count=oracle.marked_count,
         iterations=iterations,
-        queries=queries,
+        queries=iterations,
         no_solution=no_solution,
         trace=entries,
         measurements=measurements,

@@ -80,6 +80,8 @@ Refs from different managers must never be mixed.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from collections import namedtuple
 
 # Sorts after every real decision variable, so terminals never win a
@@ -108,7 +110,9 @@ class QuiddError(Exception):
 
 
 class InvalidAmplitudeError(QuiddError):
-    """NaN or infinite amplitude offered to the terminal table."""
+    """Amplitude the terminal table cannot hold: a NaN or infinite
+    component, or a finite one too large for its grid cell key (above
+    about ``sys.float_info.max * GRID``, 1.8e293)."""
 
 
 class VariableOrderError(QuiddError):
@@ -225,10 +229,16 @@ class QuiddManager:
 
     def _term(self, z: complex) -> int:
         # The one interner: z is a complex.  A NaN component fails the grid
-        # key with ValueError, an infinite or huge one with OverflowError.
+        # key with ValueError, an infinite or huge one with OverflowError;
+        # which of the two it was is asked only then.
         try:
             key = _grid_key(z)
         except (OverflowError, ValueError):
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                raise InvalidAmplitudeError(
+                    f"amplitude too large for the terminal grid (components "
+                    f"up to about {sys.float_info.max * GRID:.2g}): "
+                    f"{z!r}") from None
             raise InvalidAmplitudeError(f"non-finite amplitude: {z!r}") from None
         ref = self._terminals.get(key)
         if ref is None:

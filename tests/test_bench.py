@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -337,14 +338,10 @@ def test_repeat_all_csv_equals_one_run_per_repetition(tmp_path, seed):
 def test_cli_help_for_every_subcommand(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
-    for sub in bench.READS:
+    for sub in bench.EXPERIMENTS:
         assert cli.main([sub, "--help"]) == 0
         out = capsys.readouterr().out
         assert ("--seed" in out) == (sub != "crossover")
-
-
-def test_cli_table_has_a_row_for_every_experiment():
-    assert list(cli._EXPERIMENTS) == list(bench.READS)
 
 
 # The flags each run_* function reads, and nothing else.
@@ -445,6 +442,44 @@ def test_cli_trace_takes_k_from_the_cnf_header(tmp_path, capsys, input_files):
     assert read_lines(out)[0] == bench.TRACE_HEADER
 
 
+# A formula in the layout of SATLIB's uniform random 3-SAT files (uf20-91
+# and the rest): comment header, clause lines with a leading blank, and a
+# '%' line followed by a lone 0 at the end.
+UF_LAYOUT = ("c This Formular is generated by mcnf\nc\nc    horn? no\n"
+             "p cnf  5  3\n 1 -2 3 0\n-1 4 -5 0\n 2 -3 5 0\n%\n0\n\n")
+PLAIN = "p cnf 5 3\n1 -2 3 0\n-1 4 -5 0\n2 -3 5 0\n"
+
+
+@pytest.mark.parametrize("kind", ["trace", "oracle_stats"])
+def test_cli_reads_a_cnf_file_in_the_satlib_layout(tmp_path, capsys, kind):
+    outs = []
+    for name, text in (("uf", UF_LAYOUT), ("plain", PLAIN)):
+        path = tmp_path / f"{name}.cnf"
+        path.write_text(text)
+        outs.append(tmp_path / f"{name}.csv")
+        rc, _, err = run_cli(capsys, [kind, "--cnf", str(path),
+                                      "--out", str(outs[-1])])
+        assert rc == 0, err
+    assert _untimed_rows(outs[0]) == _untimed_rows(outs[1])
+    assert len(read_lines(outs[0])) > 1
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind="scaling", k_min=10.5, k_max=11),
+    dict(kind="scaling", k_min=10, k_max=10.0),
+    dict(kind="scaling", marked_count=True),
+    dict(kind="scaling", repetitions="3"),
+    dict(kind="oracle_stats", seed=1.0),
+    dict(kind="trace", seed="x"),
+    dict(kind="trace", iterations=2.0),
+    dict(kind="repeat_until_all_found", k_min=False),
+])
+def test_config_rejects_a_non_int_count(fields):
+    # As GroverParams does: when the config is made, not in the runner.
+    with pytest.raises(TypeError, match="must be an int"):
+        ExperimentConfig(**fields)
+
+
 @pytest.mark.parametrize("fields", [
     dict(marked_path="m.txt", cnf_path="f.cnf"),
     dict(marked_count=2, marked_path="m.txt"),
@@ -496,9 +531,9 @@ BUILT_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("kind", bench.READS)
+@pytest.mark.parametrize("kind", bench.EXPERIMENTS)
 def test_config_takes_only_the_fields_its_kind_reads(kind):
-    reads = bench.READS[kind]
+    reads = bench.EXPERIMENTS[kind].reads
     with pytest.raises(ValueError, match="does not read"):
         ExperimentConfig(kind="crossover", seed=3, repetitions=9,
                          cnf_path="/nonexistent")
@@ -605,12 +640,14 @@ def test_cli_oracle_stats_roundtrip(tmp_path, capsys):
 
 
 RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+# The header of each experiment's CSV, for the experiments whose schema
+# is pinned; run_all.py writes one CSV per row of bench.EXPERIMENTS.
 RUN_ALL_HEADERS = {
-    "scaling.csv": bench.SCALING_HEADER,
-    "oracle_stats.csv": bench.ORACLE_STATS_HEADER,
-    "crossover.csv": bench.CROSSOVER_HEADER,
-    "trace.csv": bench.TRACE_HEADER,
-    "repeat_until_all_found.csv": bench.REPEAT_ALL_HEADER,
+    "scaling": bench.SCALING_HEADER,
+    "oracle_stats": bench.ORACLE_STATS_HEADER,
+    "crossover": bench.CROSSOVER_HEADER,
+    "trace": bench.TRACE_HEADER,
+    "repeat_until_all_found": bench.REPEAT_ALL_HEADER,
 }
 
 
@@ -636,6 +673,42 @@ def test_run_all_quick_writes_every_csv_deterministically(tmp_path):
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         runs.append(out)
-    for fname, header in RUN_ALL_HEADERS.items():
-        assert read_lines(runs[0] / fname)[0] == header
+    assert sorted(p.stem for p in runs[0].glob("*.csv")) == \
+        sorted(bench.EXPERIMENTS)
+    for kind in bench.EXPERIMENTS:
+        fname = f"{kind}.csv"
         assert _untimed_rows(runs[0] / fname) == _untimed_rows(runs[1] / fname)
+    for kind, header in RUN_ALL_HEADERS.items():
+        assert read_lines(runs[0] / f"{kind}.csv")[0] == header
+
+
+def test_a_new_table_row_is_an_experiment_of_the_cli_and_run_all(
+        tmp_path, capsys, monkeypatch):
+    # One row and its runner, and nothing else: the CLI builds the
+    # subcommand from the row's fields, runs it and prints its summary,
+    # and run_all.py writes its CSV (passing no --seed, which it does
+    # not read).
+    def run_probe(cfg):
+        bench._write_csv(cfg.out, "k", [(cfg.k_min,)])
+        return cfg.k_min
+
+    monkeypatch.setitem(bench.EXPERIMENTS, "probe", bench.Experiment(
+        {"k_min": 3, "out": None}, run_probe, "write the register size",
+        lambda k: f"probe: k={k}"))
+    rc, out, _ = run_cli(capsys, ["probe", "--help"])
+    assert rc == 0
+    assert re.findall(r"^  (--[\w-]+)", out, re.M) == ["--k-min", "--out"]
+    assert "(default 3)" in out
+    rc, _, err = run_cli(capsys, ["probe", "--k-min", "5",
+                                  "--out", str(tmp_path / "p.csv")])
+    assert (rc, err) == (0, "probe: k=5\n")
+    assert read_lines(tmp_path / "p.csv") == ["k", "5"]
+    assert run_cli(capsys, ["--help"])[1].count("write the register size") == 1
+    run_all = runpy.run_path(str(RUN_ALL))
+    assert run_all["main"](["--quick", "--seed", "4",
+                            "--out-dir", str(tmp_path / "all")]) == 0
+    stdout = capsys.readouterr().out
+    assert f"== bench probe --out {tmp_path / 'all' / 'probe.csv'}\n" in stdout
+    assert read_lines(tmp_path / "all" / "probe.csv") == ["k", "3"]
+    assert sorted(p.stem for p in (tmp_path / "all").glob("*.csv")) == \
+        sorted(bench.EXPERIMENTS)

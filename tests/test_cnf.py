@@ -29,6 +29,32 @@ def test_parse_allows_clause_across_lines():
     assert f.clauses == ((1, 2, 3),)
 
 
+def test_parse_stops_at_the_satlib_end_marker():
+    # SATLIB's uf files end with '%' and a lone '0', which is not read.
+    f = cnf.parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+    assert f == CnfFormula(3, ((1, -2, 3),))
+    assert cnf.parse_dimacs("p cnf 1 1\n1 0\n% 0\n1 2 3\n").clauses == ((1,),)
+
+
+def test_parse_ends_a_clause_line_at_a_comment_token():
+    f = cnf.parse_dimacs("p cnf 3 1\n1 -2 3 0 c note\n")
+    assert f == CnfFormula(3, ((1, -2, 3),))
+    assert cnf.parse_dimacs("p cnf 2 1\n1 c -2 0\n2 0\n").clauses == ((1, 2),)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2 1\n1 %\n", "line 2: bad literal '%'"),
+    ("p cnf 2 1\n1 0\n%x\n", "line 3: bad literal '%x'"),
+    ("%\np cnf 1 1\n1 0\n", "missing problem line"),
+    ("p cnf 2 1\n1 2 c 0\n", "unterminated clause at end of input"),
+    ("p cnf 2 2\n1 0\n%\n2 0\n", "problem line declares 2 clauses, found 1"),
+])
+def test_parse_satlib_layout_keeps_other_faults(text, message):
+    with pytest.raises(DimacsError) as info:
+        cnf.parse_dimacs(text)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_variable_beyond_header():
     with pytest.raises(DimacsError):
         cnf.parse_dimacs("p cnf 2 1\n1 3 0\n")

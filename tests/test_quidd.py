@@ -87,9 +87,16 @@ def test_terminal_rejects_non_finite(manager):
 
 def test_terminal_rejects_amplitudes_beyond_the_grid_keys(manager):
     # Finite, but too large for a grid cell key: the interner's overflow
-    # path is the one check terminal() runs.
-    for bad in (1e300, complex(0, 1e300)):
-        with pytest.raises(InvalidAmplitudeError):
+    # path is the one check terminal() runs, and its message tells a
+    # finite amplitude beyond the grid (cut-off about 1.8e293) from a
+    # NaN or infinite one.
+    manager.terminal(1e293)
+    for bad in (1e300, complex(0, 1e300), complex(-1e294, 1.0)):
+        with pytest.raises(InvalidAmplitudeError,
+                           match="too large for the terminal grid"):
+            manager.terminal(bad)
+    for bad in (float("nan"), float("inf"), complex(1e300, float("nan"))):
+        with pytest.raises(InvalidAmplitudeError, match="non-finite"):
             manager.terminal(bad)
 
 
